@@ -73,7 +73,6 @@ func (e *env) dir(parts ...string) (string, error) {
 
 // proc is a spawned program under test.
 type proc struct {
-	env   *env
 	cmd   *exec.Cmd
 	log   string
 	done  chan struct{}
@@ -94,7 +93,7 @@ func (e *env) spawn(name string, args ...string) (*proc, error) {
 	cmd.Stdout = logf
 	cmd.Stderr = logf
 	cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
-	p := &proc{env: e, cmd: cmd, log: logPath, done: make(chan struct{}), start: time.Now()}
+	p := &proc{cmd: cmd, log: logPath, done: make(chan struct{}), start: time.Now()}
 	if err := cmd.Start(); err != nil {
 		logf.Close()
 		return nil, err

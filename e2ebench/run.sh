@@ -13,7 +13,7 @@ build="$root/.bench_build"
 mkdir -p "$build/bin" "$build/gocache" "$build/tmp" "$build/gopath"
 export GOCACHE="$build/gocache" GOTMPDIR="$build/tmp" TMPDIR="$build/tmp" \
 	GOPATH="$build/gopath" GOMODCACHE="$build/gopath/pkg/mod" \
-	GOTOOLCHAIN=local GOPROXY=off GOFLAGS= GOWORK=off
+	GOTOOLCHAIN=local GOPROXY=off GOFLAGS= GOWORK=off GOENV=off GOTELEMETRY=off
 go build -o "$build/bin/" ./cmd/serve ./cmd/armine ./cmd/tracegen
 go -C e2ebench build -o "$build/bin/e2ebench" .
 exec "$build/bin/e2ebench" -root "$root" "$@"
