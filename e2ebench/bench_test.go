@@ -2,14 +2,12 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/rules"
 	"repro/internal/server"
-	"repro/internal/shard"
 )
 
 func TestBodiesAreByteIdenticalPerSeed(t *testing.T) {
@@ -61,27 +59,6 @@ func TestEventsValidateUnderServedSpec(t *testing.T) {
 	for i, a := range args {
 		if a == "-skip" && args[i+1] != "job_id,submit_s,num_tasks" {
 			t.Fatalf("-skip %s, want the PAI spec's own list", args[i+1])
-		}
-	}
-}
-
-func TestTenantShardMatchesCluster(t *testing.T) {
-	c, err := shard.New(shard.Config{Shards: 3, TenantField: tenantField, Shard: server.Config{Spec: server.PAISpec()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop(context.Background())
-	in, err := makeInputs(5, 0, 300, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range append(in.run, server.Event{}) {
-		tenant, err := c.Tenant(ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := tenantShard(ev, tenantField, 3), c.ShardFor(tenant); got != want {
-			t.Fatalf("tenant %q: load generator routes to shard %d, cluster to %d", tenant, got, want)
 		}
 	}
 }
@@ -155,7 +132,7 @@ func TestEndToEndMetricsMatchDeclaration(t *testing.T) {
 		t.Errorf("server workloads: %v", err)
 	}
 	o := &offlineRun{setups: []time.Duration{time.Second}, acks: []time.Duration{time.Second}, queries: []time.Duration{time.Second},
-		fresh: []float64{1}, passes: []time.Duration{time.Second}, records: 1, rssMiB: 1}
+		fresh: []float64{1}, passes: []time.Duration{time.Second}, records: 1, rssMiB: []float64{1}}
 	if err := matchDeclared(offlineMetrics(o), sp.EndToEnd); err != nil {
 		t.Errorf("offline-paper: %v", err)
 	}
@@ -191,5 +168,43 @@ func TestRulesDigestIsCanonical(t *testing.T) {
 	}
 	if rulesDigest(r1) == rulesDigest(r1[:1]) {
 		t.Fatal("a rule set and its subset digest equally")
+	}
+}
+
+// The counter check compares the server's counters with the load
+// generator's accepted records and requires no rejected record.
+func TestCheckCounters(t *testing.T) {
+	r := &serverRun{ing: &ingester{acks: []ack{{first: 0, n: 3}}}, base: 10}
+	body := func(rejected float64) map[string]any {
+		return map[string]any{"ingest_accepted": 3.0, "observed_total": 13.0, "ingest_rejected": rejected, "encode_errors": 0.0}
+	}
+	r.metricsAt = body(0)
+	if err := r.checkCounters(); err != nil {
+		t.Fatalf("clean counters: %v", err)
+	}
+	r.metricsAt = body(1)
+	if err := r.checkCounters(); err == nil {
+		t.Fatal("ingest_rejected = 1 passed the counter check")
+	}
+}
+
+// An ack's latency counts a wait for the previous response but not the
+// generator's own delay in sending.
+func TestOriginOf(t *testing.T) {
+	due := time.Unix(100, 0)
+	ms := func(n int) time.Time { return due.Add(time.Duration(n) * time.Millisecond) }
+	for _, c := range []struct {
+		name             string
+		prevDone, sent   time.Time
+		wantLatencyStart time.Time
+	}{
+		{"on time", ms(-5), due, due},
+		{"late timer", ms(-5), ms(2), ms(2)},
+		{"slow predecessor", ms(5), ms(5), due},
+		{"slow predecessor, then a late timer", ms(5), ms(6), ms(1)},
+	} {
+		if got := originOf(due, c.prevDone, c.sent); !got.Equal(c.wantLatencyStart) {
+			t.Errorf("%s: latency starts %v after due, want %v", c.name, got.Sub(due), c.wantLatencyStart.Sub(due))
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 
 	"repro/internal/server"
 	"repro/internal/trace"
@@ -62,17 +61,4 @@ func makeInputs(seed int64, seedN, runN, bodyLines int) (*inputs, error) {
 		in.bodies = append(in.bodies, b)
 	}
 	return in, nil
-}
-
-// tenantShard mirrors shard.Cluster's routing (FNV-1a of the tenant field,
-// "default" when absent) so the load generator knows each record's shard
-// and per-shard ordinal without asking the server.
-func tenantShard(ev server.Event, field string, shards int) int {
-	tenant := "default"
-	if v, ok := ev[field].(string); ok {
-		tenant = v
-	}
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(tenant))
-	return int(h.Sum32() % uint32(shards))
 }

@@ -5,12 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,7 +70,7 @@ type ingester struct {
 
 	mu     sync.Mutex
 	acks   []ack
-	ackLat []timed         // per successful request: due time to response
+	ackLat []timed         // per successful request, stamped with its due time
 	late   []time.Duration // send time minus due time
 }
 
@@ -86,8 +83,8 @@ type ingestReply struct {
 // send posts one body until every line is accepted, resuming from
 // dropped_at_line after a 429 or 503 instead of re-sending the accepted
 // prefix. A body that cannot be delivered is counted as failed and
-// dropped.
-func (g *ingester) send(ctx context.Context, c *http.Client, b body, due time.Time) {
+// dropped. Its ack latency runs from origin to the final response.
+func (g *ingester) send(ctx context.Context, c *http.Client, b body, due, origin time.Time) {
 	from := 0
 	for from < len(b.lines) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, g.url, bytes.NewReader(b.bytes(from)))
@@ -117,7 +114,7 @@ func (g *ingester) send(ctx context.Context, c *http.Client, b body, due time.Ti
 		switch {
 		case resp.StatusCode == http.StatusOK && rep.Rejected == 0:
 			g.mu.Lock()
-			g.ackLat = append(g.ackLat, timed{at: due, d: done.Sub(due)})
+			g.ackLat = append(g.ackLat, timed{at: due, d: done.Sub(origin)})
 			g.mu.Unlock()
 			g.ops.add(false, "")
 			return
@@ -149,12 +146,17 @@ func (g *ingester) record(a ack) {
 }
 
 // openLoop sends bodies on a fixed schedule over one connection, rate in
-// records per second, until stop is set or the bodies run out. A request
-// that is due while the previous one is still in flight goes out late; the
-// lateness is recorded and counted into its ack latency.
+// records per second, until stop is set or the bodies run out.
+//
+// A request that is due while the previous one is still in flight waits
+// for the server, and that wait counts into its ack latency. The
+// generator's own delay past the moment it could have sent (timer wake-up,
+// its own scheduling) does not: the latency runs from the due time plus
+// that delay. Lateness, send time minus due time, is recorded whole.
 func (g *ingester) openLoop(ctx context.Context, rate float64, start time.Time) {
 	c := newClient()
 	defer c.CloseIdleConnections()
+	var prevDone time.Time
 	for _, b := range g.in.bodies {
 		due := start.Add(time.Duration(float64(b.first) / rate * float64(time.Second)))
 		if d := time.Until(due); d > 0 {
@@ -167,12 +169,29 @@ func (g *ingester) openLoop(ctx context.Context, rate float64, start time.Time) 
 		if g.stop.Load() {
 			return
 		}
+		sent := time.Now()
 		g.mu.Lock()
-		g.late = append(g.late, time.Since(due))
+		g.late = append(g.late, sent.Sub(due))
 		g.mu.Unlock()
-		g.send(ctx, c, b, due)
+		g.send(ctx, c, b, due, originOf(due, prevDone, sent))
+		prevDone = time.Now()
 	}
 	g.exhausted.CompareAndSwap(0, time.Now().UnixNano())
+}
+
+// originOf is where a request's ack latency starts: its due time, moved
+// on by the generator's own delay, which is the time from when it could
+// have sent (due, or the previous response when that came later) to when
+// it did.
+func originOf(due, prevDone, sent time.Time) time.Time {
+	ready := due
+	if prevDone.After(due) {
+		ready = prevDone
+	}
+	if sent.Before(ready) {
+		return due
+	}
+	return due.Add(sent.Sub(ready))
 }
 
 func (g *ingester) exhaustedAt() time.Time {
@@ -210,15 +229,13 @@ type reader struct {
 	rate float64
 	ops  *opStats
 
-	lat     []time.Duration
-	seqSeen map[string]bool // distinct snapshot validators received
+	lat []time.Duration
 }
 
 func (r *reader) run(ctx context.Context, start, deadline time.Time) {
 	c := newClient()
 	defer c.CloseIdleConnections()
 	etags := map[string]string{}
-	r.seqSeen = map[string]bool{}
 	for k := 0; ; k++ {
 		due := start.Add(time.Duration(float64(k) / r.rate * float64(time.Second)))
 		if !due.Before(deadline) {
@@ -250,41 +267,28 @@ func (r *reader) run(ctx context.Context, start, deadline time.Time) {
 		r.ops.add(false, "")
 		r.lat = append(r.lat, lat)
 		etags[rk.path] = etag
-		r.seqSeen[etag] = true
 	}
 }
 
 // snapObs is one published snapshot as the monitor first saw it.
 type snapObs struct {
 	t     time.Time
-	etag  string
 	total int
-	// shardTotals is filled by resolve for merged (sharded) snapshots: the
-	// observed total of each shard snapshot the merge was built from.
-	shardTotals []int
 }
 
 // monitor polls the snapshot validator and /metrics on two probe
 // connections: the first to timestamp every publish for freshness, the
 // second for backlog counters.
 type monitor struct {
-	base   string
-	shards int // 0 for a single server
-	ops    *opStats
+	base string
+	ops  *opStats
 
-	mu          sync.Mutex
-	snaps       []snapObs
-	shardSeqTot []map[int64]int // per shard: snapshot seq -> observed total
-	queueMax    int
+	mu       sync.Mutex
+	snaps    []snapObs
+	queueMax int
 }
 
 func (m *monitor) run(ctx context.Context) {
-	if m.shards > 0 {
-		m.shardSeqTot = make([]map[int64]int, m.shards)
-		for i := range m.shardSeqTot {
-			m.shardSeqTot[i] = map[int64]int{}
-		}
-	}
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -318,7 +322,7 @@ func (m *monitor) pollSnapshots(ctx context.Context) {
 					Total int `json:"observed_total"`
 				}
 				if json.Unmarshal(b, &r) == nil {
-					m.snaps = append(m.snaps, snapObs{t: now, etag: etag, total: r.Total})
+					m.snaps = append(m.snaps, snapObs{t: now, total: r.Total})
 				}
 				last = etag
 			}
@@ -342,104 +346,16 @@ func (m *monitor) pollMetrics(ctx context.Context) {
 		} else {
 			m.ops.add(false, "")
 			m.mu.Lock()
-			for _, blk := range shardBlocks(mv) {
-				m.queueMax = max(m.queueMax, num(blk, "queue_depth"))
-			}
-			if m.shards > 0 {
-				for i, blk := range shardBlocks(mv) {
-					if seq := num(blk, "snapshot_seq"); seq > 0 {
-						m.shardSeqTot[i][int64(seq)] = num(blk, "observed_total")
-					}
-				}
-			}
+			m.queueMax = max(m.queueMax, num(mv, "queue_depth"))
 			m.mu.Unlock()
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
 }
 
-// shardBlocks returns the per-server metric blocks of a /metrics body: the
-// body itself for a single server, the "shard" array for a cluster.
-func shardBlocks(mv map[string]any) []map[string]any {
-	arr, ok := mv["shard"].([]any)
-	if !ok {
-		return []map[string]any{mv}
-	}
-	out := make([]map[string]any, 0, len(arr))
-	for _, a := range arr {
-		if blk, ok := a.(map[string]any); ok {
-			out = append(out, blk)
-		}
-	}
-	return out
-}
-
 func num(m map[string]any, key string) int {
 	f, _ := m[key].(float64)
 	return int(f)
-}
-
-// sum adds key over every server block of a /metrics body.
-func sum(mv map[string]any, key string) int {
-	total := 0
-	for _, blk := range shardBlocks(mv) {
-		total += num(blk, key)
-	}
-	return total
-}
-
-// resolve fills shardTotals of merged snapshots. A merged ETag carries an
-// FNV-1a hash of the shard seq vector it was merged from; the vector is
-// found among the shard seqs the metrics probe saw, which map to each
-// shard's observed total. Snapshots whose vector was never seen stay
-// unresolved and are skipped by freshness.
-func (m *monitor) resolve() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	seqs := make([][]int64, m.shards)
-	for i, st := range m.shardSeqTot {
-		for s := range st {
-			seqs[i] = append(seqs[i], s)
-		}
-		sort.Slice(seqs[i], func(a, b int) bool { return seqs[i][a] > seqs[i][b] })
-	}
-	for k := range m.snaps {
-		o := &m.snaps[k]
-		if o.shardTotals != nil {
-			continue
-		}
-		dash := strings.LastIndexByte(o.etag, '-')
-		if dash < 0 {
-			continue
-		}
-		want := strings.Trim(o.etag[dash+1:], `"`)
-		vec := make([]int64, m.shards)
-		var search func(i int) bool
-		search = func(i int) bool {
-			if i == m.shards {
-				parts := make([]string, m.shards)
-				for j, s := range vec {
-					parts[j] = strconv.FormatInt(s, 10)
-				}
-				h := fnv.New32a()
-				_, _ = h.Write([]byte(strings.Join(parts, "|")))
-				return fmt.Sprintf("%08x", h.Sum32()) == want
-			}
-			for _, s := range seqs[i] {
-				vec[i] = s
-				if search(i + 1) {
-					return true
-				}
-			}
-			return false
-		}
-		if search(0) {
-			o.shardTotals = make([]int, m.shards)
-			for i, s := range vec {
-				o.shardTotals[i] = m.shardSeqTot[i][s]
-			}
-		}
-	}
 }
 
 func (m *monitor) snapshots() []snapObs {

@@ -1,7 +1,7 @@
 // Command e2ebench is the repository benchmark: an out-of-process load
-// generator that drives cmd/serve (single and sharded) over HTTP and
-// cmd/armine over argv, checks their outputs against in-process
-// references, and prints one JSON result line. With -trace 1 it also
+// generator that drives cmd/serve over HTTP and cmd/armine over argv,
+// checks their outputs against in-process references, and prints one JSON
+// result line. With -trace 1 it also
 // replays the workload's inputs in-process through each layer's public
 // functions and prints per-layer metrics instead. See README.md.
 //
@@ -126,6 +126,12 @@ func measure(e *env, sp *spec, workload string, seed int64, seconds int, traced 
 		if len(r.ing.late) > 0 {
 			fmt.Fprintf(os.Stderr, "e2ebench: generator lateness p99 %.3f ms over %d requests\n", tailQuantile(durationsMS(r.ing.late)), len(r.ing.late))
 		}
+		// The ack and read tails are reported here, not as metrics: they
+		// depend on how requests line up with each mine's burst of work on
+		// both cores, and move between runs by more than any bound the
+		// benchmark may set.
+		ack, q := durationsMS(within(r.ing.ackLat, r.end)), durationsMS(r.rd.lat)
+		fmt.Fprintf(os.Stderr, "e2ebench: ack tail %.3f ms over %d requests, read tail %.3f ms over %d reads\n", tailQuantile(ack), len(ack), tailQuantile(q), len(q))
 		if traced {
 			if res.Metrics, err = traceServer(e, r, seed); err != nil {
 				return nil, err
@@ -135,6 +141,12 @@ func measure(e *env, sp *spec, workload string, seed int64, seconds int, traced 
 	res.Attempted, res.Failed = ops.attempted, ops.failed
 	for _, msg := range ops.errs {
 		fmt.Fprintln(os.Stderr, "e2ebench: failed operation:", msg)
+	}
+	if ops.failed > 0 {
+		// Every workload is sized so that nothing fails. A failed request
+		// also drops out of the latency samples, so a run with one is
+		// invalid rather than fast.
+		res.Correct = false
 	}
 	want := sp.EndToEnd
 	if traced {
@@ -203,11 +215,9 @@ func serverMetrics(r *serverRun) map[string]metric {
 		"setup_s":              {secondsOf(r.setups), "s"},
 		"ingest_records_per_s": {float64(inWindow) / last.Sub(r.start).Seconds(), "records/s"},
 		"ack_p50_ms":           {median(ack), "ms"},
-		"ack_p99_ms":           {tailQuantile(ack), "ms"},
 		"fresh_p50_ms":         {median(fresh), "ms"},
 		"fresh_p99_ms":         {tailQuantile(fresh), "ms"},
 		"query_p50_ms":         {median(q), "ms"},
-		"query_p99_ms":         {tailQuantile(q), "ms"},
 		"pipeline_s":           {secondsOf(r.pipelines), "s"},
 		"peak_rss_mb":          {r.rss, "MiB"},
 	}
@@ -223,12 +233,10 @@ func offlineMetrics(r *offlineRun) map[string]metric {
 		"setup_s":              {secondsOf(r.setups), "s"},
 		"ingest_records_per_s": {float64(r.records) / busy.Seconds(), "records/s"},
 		"ack_p50_ms":           {median(ack), "ms"},
-		"ack_p99_ms":           {tailQuantile(ack), "ms"},
 		"fresh_p50_ms":         {median(r.fresh), "ms"},
 		"fresh_p99_ms":         {tailQuantile(r.fresh), "ms"},
 		"query_p50_ms":         {median(q), "ms"},
-		"query_p99_ms":         {tailQuantile(q), "ms"},
 		"pipeline_s":           {secondsOf(r.passes), "s"},
-		"peak_rss_mb":          {r.rssMiB, "MiB"},
+		"peak_rss_mb":          {median(r.rssMiB), "MiB"},
 	}
 }

@@ -21,15 +21,33 @@ var (
 	offlineKeywords = []string{core.KeywordZeroSM, core.KeywordFailed}
 )
 
+// offlineMinSupport is cmd/armine's default min-support, passed explicitly
+// like maxLen and minLift.
+const offlineMinSupport = 0.05
+
+// offlineArgs are the mining thresholds on every cmd/armine analysis.
+var offlineArgs = []string{
+	"-min-support", fmt.Sprint(offlineMinSupport),
+	"-max-len", fmt.Sprint(maxLen),
+	"-min-lift", fmt.Sprint(minLift),
+}
+
+// pipelineFor is the paper pipeline for a trace with the thresholds
+// cmd/armine is given.
 func pipelineFor(name string) *core.Pipeline {
+	var p *core.Pipeline
 	switch name {
 	case "pai":
-		return core.PAIPipeline()
+		p = core.PAIPipeline()
 	case "supercloud":
-		return core.SuperCloudPipeline()
+		p = core.SuperCloudPipeline()
 	default:
-		return core.PhillyPipeline()
+		p = core.PhillyPipeline()
 	}
+	p.Opts.MinSupport = offlineMinSupport
+	p.Opts.MaxItemsetLen = maxLen
+	p.Opts.MinLift = minLift
+	return p
 }
 
 // offlineRun is what one offline-paper run measured.
@@ -37,12 +55,12 @@ type offlineRun struct {
 	dir      string
 	rows     map[string]int
 	setups   []time.Duration
-	acks     []time.Duration // per cmd/armine analysis
-	queries  []time.Duration // per cmd/armine -describe
-	fresh    []float64       // per job record and pass, ms
-	passes   []time.Duration // analysis time of every pass
-	records  int             // job records analysed, summed over analyses
-	rssMiB   float64
+	acks     []time.Duration   // per cmd/armine analysis
+	queries  []time.Duration   // per cmd/armine -describe
+	fresh    []float64         // per job record and pass, ms
+	passes   []time.Duration   // analysis time of every pass
+	records  int               // job records analysed, summed over analyses
+	rssMiB   []float64         // per pass: the largest peak RSS of its cmd/armine analyses
 	analyses map[string][]byte // trace/keyword -> armine JSON, equal in every pass
 }
 
@@ -109,6 +127,7 @@ func runOffline(e *env, seed int64, seconds int, ops *opStats) (*offlineRun, err
 	window := time.Duration(seconds) * time.Second
 	for len(r.passes) == 0 || time.Since(start)+r.passes[len(r.passes)-1] <= window {
 		var elapsed time.Duration
+		var rssMiB float64
 		for _, name := range offlineTraces {
 			files := []string{
 				"-scheduler", filepath.Join(r.dir, name+"_scheduler.csv"),
@@ -121,13 +140,13 @@ func runOffline(e *env, seed int64, seconds int, ops *opStats) (*offlineRun, err
 			}
 			r.queries = append(r.queries, took)
 			for _, kw := range offlineKeywords {
-				out, took, rss, err := runTool(e, "armine", append(files, "-pipeline", name, "-keyword", kw, "-format", "json")...)
+				out, took, rss, err := runTool(e, "armine", append(append(files, offlineArgs...), "-pipeline", name, "-keyword", kw, "-format", "json")...)
 				ops.add(err != nil, fmt.Sprint(err))
 				if err != nil {
 					return nil, err
 				}
 				r.acks = append(r.acks, took)
-				r.rssMiB = max(r.rssMiB, rss)
+				rssMiB = max(rssMiB, rss)
 				r.records += r.rows[name]
 				if prev, ok := r.analyses[name+"/"+kw]; ok && !bytes.Equal(prev, out) {
 					return nil, fmt.Errorf("%s %s: cmd/armine output changed between passes", name, kw)
@@ -142,6 +161,7 @@ func runOffline(e *env, seed int64, seconds int, ops *opStats) (*offlineRun, err
 			}
 		}
 		r.passes = append(r.passes, elapsed)
+		r.rssMiB = append(r.rssMiB, rssMiB)
 	}
 	// The rest of the set-up repeats rewrite the same PAI files after the
 	// passes, so the median spans the run.

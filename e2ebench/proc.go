@@ -217,8 +217,7 @@ func get(ctx context.Context, c *http.Client, url, ifNoneMatch string) (int, []b
 
 // waitReady polls base's /v1/rules until it serves a snapshot covering
 // total observed records, and returns the time since the process was
-// spawned: the set-up time of one server start. For a cluster this is the
-// first merged snapshot that includes every restored shard.
+// spawned: the set-up time of one server start.
 func waitReady(p *proc, c *http.Client, base string, total int, timeout time.Duration) (time.Duration, error) {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/faultinject"
 	"repro/internal/fpgrowth"
@@ -64,15 +63,12 @@ type replayBody struct {
 }
 
 // streamOf rebuilds the replayed stream of a server run: every accepted
-// record in acknowledgement order, or for a cluster the records of shard 0,
-// with the batch boundaries and end-to-end times the run observed.
+// record in acknowledgement order, with the batch boundaries and
+// end-to-end times the run observed.
 func streamOf(r *serverRun) *replayStream {
-	s := &replayStream{w: r.w, base: r.base[0], mix: r.w.mix(r.in)}
+	s := &replayStream{w: r.w, base: r.base, mix: r.w.mix}
 	s.reads = len(s.mix)
 	s.seedState, s.seedWAL = filepath.Join(r.seedDir, "state"), filepath.Join(r.seedDir, "wal")
-	if r.w.shards > 1 {
-		s.seedState = filepath.Join(s.seedState, "shard-0")
-	}
 	lineOf := make([][]byte, len(r.in.run))
 	for _, b := range r.in.bodies {
 		for k, l := range b.lines {
@@ -82,11 +78,7 @@ func streamOf(r *serverRun) *replayStream {
 	for _, a := range r.ing.acks {
 		lines := lineOf[a.first : a.first+a.n]
 		rb := replayBody{raw: bytes.Join(lines, []byte{'\n'}), lines: a.n, lo: len(s.events)}
-		for i := a.first; i < a.first+a.n; i++ {
-			if r.shardOf(i) == 0 {
-				s.events = append(s.events, r.in.run[i])
-			}
-		}
+		s.events = append(s.events, r.in.run[a.first:a.first+a.n]...)
 		rb.hi = len(s.events)
 		s.bodies = append(s.bodies, rb)
 	}
@@ -364,7 +356,8 @@ func (l *layerRun) replayWAL(s *replayStream) error {
 // against the snapshot.
 func (l *layerRun) replayStreamLayers(s *replayStream, catalog *itemset.Catalog, initial []itemset.Set, names [][]string) error {
 	tr := l.tr
-	m, err := stream.New(catalog.Clone(), stream.Config{WindowSize: s.w.window, MinSupport: s.w.minSupport, MaxLen: 5, MinLift: 1.5})
+	cfg := s.w.config("", "")
+	m, err := stream.New(catalog.Clone(), stream.Config{WindowSize: cfg.WindowSize, MinSupport: cfg.MinSupport, MaxLen: cfg.MaxLen, MinLift: cfg.MinLift})
 	if err != nil {
 		return err
 	}
@@ -407,14 +400,14 @@ func (l *layerRun) replayStreamLayers(s *replayStream, catalog *itemset.Catalog,
 		for _, txn := range view.Window {
 			db.AddCanonical(txn)
 		}
-		minCount := max(1, int(math.Ceil(s.w.minSupport*float64(db.Len()))))
+		minCount := max(1, int(math.Ceil(cfg.MinSupport*float64(db.Len()))))
 		var freq []itemset.Frequent
 		fps = append(fps, tr.do("fpgrowth.mine", 0, b, false, func() {
-			freq = fpgrowth.Mine(db, fpgrowth.Options{MinCount: minCount, MaxLen: 5})
+			freq = fpgrowth.Mine(db, fpgrowth.Options{MinCount: minCount, MaxLen: cfg.MaxLen})
 		}))
 		var rs []rules.Rule
 		gens = append(gens, tr.do("rules.generate", 0, b, false, func() {
-			rs = rules.Generate(freq, db.Len(), rules.Options{MinLift: 1.5})
+			rs = rules.Generate(freq, db.Len(), rules.Options{MinLift: cfg.MinLift})
 		}))
 		itemsets = append(itemsets, float64(len(freq)))
 		genRules = append(genRules, float64(len(rs)))
@@ -505,9 +498,7 @@ func replayRead(tr *tracer, b int, snap *server.Snapshot, rk readKind) (time.Dur
 func (l *layerRun) replayShard(s *replayStream) error {
 	tr := l.tr
 	cfg := s.w.config("", "")
-	if s.w.shards <= 1 {
-		cfg.WindowSize = max(1, s.w.window/3)
-	}
+	cfg.WindowSize = max(1, s.w.window/3)
 	c, err := shard.New(shard.Config{Shards: 3, TenantField: tenantField, Shard: cfg})
 	if err != nil {
 		return err
@@ -569,10 +560,8 @@ func (l *layerRun) replayShard(s *replayStream) error {
 		return fmt.Errorf("replay cluster published no merged snapshot")
 	}
 	l.put("shard.merge_ms", "ms", medianMS(merges))
-	if s.w.shards <= 1 {
-		l.put("shard.merges_run", "count", float64(final.Seq))
-		l.put("shard.merge_useful_ratio", "ratio", float64(len(seen))/float64(final.Seq))
-	}
+	l.put("shard.merges_run", "count", float64(final.Seq))
+	l.put("shard.merge_useful_ratio", "ratio", float64(len(seen))/float64(final.Seq))
 
 	cat := itemset.NewCatalog()
 	var dbs []*transaction.DB
@@ -587,9 +576,9 @@ func (l *layerRun) replayShard(s *replayStream) error {
 		total += db.Len()
 		dbs = append(dbs, db)
 	}
-	minCount := max(1, int(math.Ceil(s.w.minSupport*float64(total))))
+	minCount := max(1, int(math.Ceil(cfg.MinSupport*float64(total))))
 	l.put("son.mine_shards_ms", "ms", ms(tr.do("son.mine_shards", 0, 0, false, func() {
-		son.MineShards(dbs, son.Options{MinCount: minCount, MaxLen: 5})
+		son.MineShards(dbs, son.Options{MinCount: minCount, MaxLen: cfg.MaxLen})
 	})))
 	return nil
 }
@@ -631,13 +620,27 @@ func (l *layerRun) replayOffline(dir string, names []string, paperNames bool) (m
 		if err != nil {
 			return nil, err
 		}
-		res := &core.Result{DB: db, NumTransactions: db.Len()}
-		minCount := max(1, int(math.Ceil(0.05*float64(db.Len()))))
+		minCount := max(1, int(math.Ceil(p.Opts.MinSupport*float64(db.Len()))))
+		var freq []itemset.Frequent
 		shared += tr.do(fpName, 0, 0, false, func() {
-			res.Frequent = fpgrowth.Mine(db, fpgrowth.Options{MinCount: minCount, MaxLen: 5})
+			freq = fpgrowth.Mine(db, fpgrowth.Options{MinCount: minCount, MaxLen: p.Opts.MaxItemsetLen})
 		})
-		shared += tr.do(genName, 0, 0, false, func() { ruleCount = append(ruleCount, float64(len(res.Rules()))) })
-		itemsets = append(itemsets, float64(len(res.Frequent)))
+		var rs []rules.Rule
+		shared += tr.do(genName, 0, 0, false, func() {
+			rs = rules.Generate(freq, db.Len(), rules.Options{MinLift: p.Opts.MinLift})
+		})
+		itemsets = append(itemsets, float64(len(freq)))
+		ruleCount = append(ruleCount, float64(len(rs)))
+		// The keyword analyses run on the pipeline's own result, with its
+		// rules generated before timing; the replayed mining must match it.
+		res, err := p.Mine(joined)
+		if err != nil {
+			return nil, err
+		}
+		if len(res.Frequent) != len(freq) || len(res.Rules()) != len(rs) {
+			return nil, fmt.Errorf("%s: replayed mining found %d itemsets and %d rules, core.Pipeline %d and %d",
+				name, len(freq), len(rs), len(res.Frequent), len(res.Rules()))
+		}
 		for _, kw := range offlineKeywords {
 			d := tr.do("pruning.analyze", 0, 0, false, func() { _, err = res.Analyze(kw) })
 			if err != nil {
@@ -691,12 +694,8 @@ func traceServer(e *env, r *serverRun, seed int64) (map[string]metric, error) {
 	if err := l.replayServerLayers(s); err != nil {
 		return nil, err
 	}
-	if r.w.shards > 1 {
-		l.put("shard.merges_run", "count", float64(r.mergesRun))
-		l.put("shard.merge_useful_ratio", "ratio", float64(r.mergedSeen)/float64(max(1, r.mergesRun)))
-	}
 	l.put("server.queue_depth_max", "count", float64(r.mon.queueMax))
-	l.put("server.throttled", "count", float64(sum(r.metricsAt, "ingest_throttled")))
+	l.put("server.throttled", "count", float64(num(r.metricsAt, "ingest_throttled")))
 	l.put("server.mines", "count", float64(r.mines))
 
 	dir, err := e.dir("replay-offline")
@@ -740,7 +739,7 @@ func traceOffline(e *env, r *offlineRun, seed int64) (map[string]metric, error) 
 	}
 	s := &replayStream{
 		w: w, events: in.run, seedState: filepath.Join(seedDir, "state"), seedWAL: filepath.Join(seedDir, "wal"),
-		base: len(in.seed), mix: singleMix(in), reads: len(singleMix(in)),
+		base: len(in.seed), mix: w.mix, reads: len(w.mix),
 	}
 	for _, b := range in.bodies {
 		s.bodies = append(s.bodies, replayBody{raw: b.bytes(0), lines: len(b.lines), lo: b.first, hi: b.first + len(b.lines)})

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/server"
-	"repro/internal/shard"
 	"repro/internal/wal"
 )
 
@@ -21,15 +20,14 @@ import (
 // always match the process under test.
 type serverWorkload struct {
 	name       string
-	shards     int // >1 runs the sharded multi-tenant deployment
-	window     int // per shard when sharded
+	window     int
 	minSupport float64
 	seedEvents int // folded into the seeded checkpoint
 	walTail    int // further events left only in the seeded WAL
 	bodyLines  int
 	rate       float64 // open-loop records/s
 	readRate   float64 // paced reads/s
-	mix        func(in *inputs) []readKind
+	mix        []readKind
 }
 
 // The mining cadence and durability settings every server workload runs
@@ -42,6 +40,16 @@ const (
 	checkpointEvery = 1
 )
 
+// The mining thresholds besides min-support, which is per workload:
+// cmd/serve's and cmd/armine's defaults, passed to every program and every
+// in-process reference and replay, so the per-layer figures stay the
+// programs' own if a default moves.
+const (
+	maxLen  = 5
+	minLift = 1.5
+)
+
+// tenantField routes the traced replay's three-shard cluster.
 const tenantField = "user"
 
 func (w serverWorkload) config(stateDir, walDir string) server.Config {
@@ -49,6 +57,8 @@ func (w serverWorkload) config(stateDir, walDir string) server.Config {
 		Spec:            server.PAISpec(),
 		WindowSize:      w.window,
 		MinSupport:      w.minSupport,
+		MaxLen:          maxLen,
+		MinLift:         minLift,
 		MineBatch:       mineBatch,
 		MineInterval:    mineInterval,
 		StateDir:        stateDir,
@@ -58,22 +68,20 @@ func (w serverWorkload) config(stateDir, walDir string) server.Config {
 	}
 }
 
-func (w serverWorkload) clusterConfig(cfg server.Config) shard.Config {
-	return shard.Config{Shards: w.shards, TenantField: tenantField, Shard: cfg}
-}
-
 // serveArgs is the cmd/serve command line. -skip is passed explicitly:
 // with -spec pai, cmd/serve replaces PAISpec().Skip with its own -skip
 // default (job_id,submit_s), which rejects every NDJSON event for its
 // undeclared num_tasks number. Passing the spec's own list keeps the
 // served spec, and the checkpoint fingerprint, equal to PAISpec().
 func (w serverWorkload) serveArgs(addr, stateDir, walDir string) []string {
-	args := []string{
+	return []string{
 		"-addr", addr,
 		"-spec", "pai",
 		"-skip", strings.Join(server.PAISpec().Skip, ","),
 		"-window", fmt.Sprint(w.window),
 		"-min-support", fmt.Sprint(w.minSupport),
+		"-max-len", fmt.Sprint(maxLen),
+		"-min-lift", fmt.Sprint(minLift),
 		"-mine-batch", fmt.Sprint(mineBatch),
 		"-mine-interval", mineInterval.String(),
 		"-state-dir", stateDir,
@@ -81,10 +89,6 @@ func (w serverWorkload) serveArgs(addr, stateDir, walDir string) []string {
 		"-wal-dir", walDir,
 		"-fsync", fsyncPolicy,
 	}
-	if w.shards > 1 {
-		args = append(args, "-shards", fmt.Sprint(w.shards), "-tenant-field", tenantField)
-	}
-	return args
 }
 
 // noMining keeps an in-process server from mining until Stop, which mines
@@ -119,38 +123,20 @@ func seedState(w serverWorkload, dir string, events []server.Event) error {
 	cfg := noMining(w.config(stateDir, ""), len(ckpt))
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	if w.shards > 1 {
-		c, err := shard.New(w.clusterConfig(cfg))
-		if err != nil {
+	s, err := server.New(cfg)
+	if err != nil {
+		return err
+	}
+	for _, ev := range ckpt {
+		if err := enqueue(s.Enqueue, ev); err != nil {
 			return err
 		}
-		for _, ev := range ckpt {
-			if err := enqueue(c.Ingest, ev); err != nil {
-				return err
-			}
-		}
-		if err := c.Stop(ctx); err != nil {
-			return err
-		}
-	} else {
-		s, err := server.New(cfg)
-		if err != nil {
-			return err
-		}
-		for _, ev := range ckpt {
-			if err := enqueue(s.Enqueue, ev); err != nil {
-				return err
-			}
-		}
-		if err := s.Stop(ctx); err != nil {
-			return err
-		}
+	}
+	if err := s.Stop(ctx); err != nil {
+		return err
 	}
 	if len(tail) == 0 {
 		return os.MkdirAll(walDir, 0o755)
-	}
-	if w.shards > 1 {
-		return errors.New("seeded WAL tails are single-server only")
 	}
 	// The tail is appended in the framing Server.Enqueue writes: the JSON
 	// of the event, one record each, after the checkpoint's watermark.

@@ -8,13 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/rules"
 	"repro/internal/server"
-	"repro/internal/shard"
 )
 
 // setupRepeats is how many times each run starts the server from the
@@ -33,63 +31,23 @@ var serverWorkloads = map[string]serverWorkload{
 	// server sustains on a 2-core host, plus the operator read mix. At
 	// this rate mine and publish take about a quarter of each 2 s cycle,
 	// which keeps the ack and read medians off the boundary between
-	// requests that overlap a mine and requests that do not.
+	// requests that overlap a mine and requests that do not. Bodies of 8
+	// give 1000 acks in a 20 s window, for a steady ack median.
 	"pai-steady": {
 		name: "pai-steady", window: 5000, minSupport: 0.05, seedEvents: 5000, walTail: 2000,
-		bodyLines: 20, rate: 400, readRate: 45, mix: singleMix,
-	},
-	// Three shards with a union window near the single server's, a low
-	// ingest rate and a read-heavy merged/tenant mix.
-	"sharded-read": {
-		name: "sharded-read", shards: 3, window: 1000, minSupport: 0.1, seedEvents: 3000,
-		bodyLines: 10, rate: 200, readRate: 60, mix: shardedMix,
+		bodyLines: 8, rate: 400, readRate: 45, mix: operatorMix,
 	},
 }
 
-func singleMix(*inputs) []readKind {
-	return []readKind{
-		{path: "/v1/rules?keyword=failed&kind=cause"},
-		{path: "/v1/rules?keyword=sm_util%3D0%25"},
-		{path: "/v1/rules?sort=support&limit=50"},
-		{path: "/v1/drift?keyword=failed"},
-		{path: "/v1/rules?keyword=failed&kind=cause", revalidate: true},
-		{path: "/v1/rules?sort=support&limit=50&offset=50"},
-		{path: "/v1/drift?keyword=failed", revalidate: true},
-	}
-}
-
-func shardedMix(in *inputs) []readKind {
-	t := topTenants(in.seed, 2)
-	return []readKind{
-		{path: "/v1/rules?keyword=failed&kind=cause"},
-		{path: "/v1/tenants/" + t[0] + "/rules?keyword=failed"},
-		{path: "/v1/drift?keyword=failed"},
-		{path: "/v1/rules?keyword=failed&kind=cause", revalidate: true},
-		{path: "/v1/rules?keyword=sm_util%3D0%25&kind=cause"},
-		{path: "/v1/tenants/" + t[1] + "/rules?sort=support&limit=20"},
-		{path: "/v1/drift?keyword=failed", revalidate: true},
-	}
-}
-
-// topTenants returns the n most frequent tenants, ties by name.
-func topTenants(events []server.Event, n int) []string {
-	counts := map[string]int{}
-	for _, ev := range events {
-		if u, ok := ev[tenantField].(string); ok {
-			counts[u]++
-		}
-	}
-	names := make([]string, 0, len(counts))
-	for u := range counts {
-		names = append(names, u)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if counts[names[i]] != counts[names[j]] {
-			return counts[names[i]] > counts[names[j]]
-		}
-		return names[i] < names[j]
-	})
-	return names[:n]
+// operatorMix is pai-steady's read mix, issued in this order.
+var operatorMix = []readKind{
+	{path: "/v1/rules?keyword=failed&kind=cause"},
+	{path: "/v1/rules?keyword=sm_util%3D0%25"},
+	{path: "/v1/rules?sort=support&limit=50"},
+	{path: "/v1/drift?keyword=failed"},
+	{path: "/v1/rules?keyword=failed&kind=cause", revalidate: true},
+	{path: "/v1/rules?sort=support&limit=50&offset=50"},
+	{path: "/v1/drift?keyword=failed", revalidate: true},
 }
 
 // serverRun is everything one end-to-end run of a server workload
@@ -104,16 +62,13 @@ type serverRun struct {
 	ing       *ingester
 	rd        *reader
 	mon       *monitor
-	base      []int // observed total per shard (one entry when single) at run start
+	base      int // observed total at run start
 	rss       float64
 	fresh     []time.Duration
 	batches   []batchObs
 	pipelines []time.Duration // per publish: newest added record's ack -> visible
 	metricsAt map[string]any  // /metrics after the drain
 	mines     int
-	// Sharded runs: merges the cluster ran, and how many distinct merged
-	// snapshots a read or probe received.
-	mergesRun, mergedSeen int
 }
 
 // batchObs is one snapshot published during the run: the run-relative
@@ -163,19 +118,13 @@ func runServerWorkload(e *env, w serverWorkload, seed int64, seconds int, ops *o
 	if err != nil {
 		return nil, err
 	}
-	for _, blk := range shardBlocks(mv) {
-		r.base = append(r.base, num(blk, "observed_total"))
-	}
-	minesBefore := sum(mv, "mine_count")
-	mergesBefore := num(mv, "merged_watch_events_total")
+	r.base = num(mv, "observed_total")
+	minesBefore := num(mv, "mine_count")
 
 	// The timed run.
 	monCtx, stopMon := context.WithCancel(context.Background())
 	defer stopMon()
 	r.mon = &monitor{base: base, ops: ops}
-	if w.shards > 1 {
-		r.mon.shards = w.shards
-	}
 	monDone := make(chan struct{})
 	go func() {
 		defer close(monDone)
@@ -190,7 +139,7 @@ func runServerWorkload(e *env, w serverWorkload, seed int64, seconds int, ops *o
 	defer cancel()
 	r.ing = &ingester{url: base + "/v1/jobs", in: in, ops: ops}
 	readDone := make(chan struct{})
-	r.rd = &reader{base: base, mix: w.mix(in), rate: w.readRate, ops: ops}
+	r.rd = &reader{base: base, mix: w.mix, rate: w.readRate, ops: ops}
 	go func() {
 		defer close(readDone)
 		r.rd.run(ctx, r.start, r.end)
@@ -229,9 +178,7 @@ func runServerWorkload(e *env, w serverWorkload, seed int64, seconds int, ops *o
 	if r.metricsAt, err = fetchMetrics(base); err != nil {
 		return nil, err
 	}
-	r.mines = sum(r.metricsAt, "mine_count") - minesBefore
-	r.mergesRun = num(r.metricsAt, "merged_watch_events_total") - mergesBefore
-	r.mergedSeen = r.distinctMerged()
+	r.mines = num(r.metricsAt, "mine_count") - minesBefore
 	r.freshness()
 
 	servedRules, err := fetchRules(base)
@@ -305,124 +252,69 @@ func (r *serverRun) startFromSeed(e *env, i int) (p *proc, base string, took tim
 }
 
 // waitCovered waits until the latest snapshot the monitor saw reaches
-// the observed totals want.
-func (r *serverRun) waitCovered(want []int, timeout time.Duration) error {
+// the observed total want.
+func (r *serverRun) waitCovered(want int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		if r.w.shards > 1 {
-			r.mon.resolve()
-		}
 		snaps := r.mon.snapshots()
-		if len(snaps) > 0 && covers(r.w.shards, snaps[len(snaps)-1], want) {
+		if len(snaps) > 0 && snaps[len(snaps)-1].total >= want {
 			return nil
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	return fmt.Errorf("no snapshot covering %v accepted records within %s", want, timeout)
+	return fmt.Errorf("no snapshot covering %d records within %s", want, timeout)
 }
 
-// totals is the observed total each shard reaches once every record
+// totals is the observed total the server reaches once every record
 // acknowledged before t (every accepted record for the zero time) is mined.
-func (r *serverRun) totals(t time.Time) []int {
-	want := append([]int(nil), r.base...)
+func (r *serverRun) totals(t time.Time) int {
+	want := r.base
 	r.ing.mu.Lock()
 	defer r.ing.mu.Unlock()
 	for _, a := range r.ing.acks {
 		if t.IsZero() || a.done.Before(t) {
-			for i := a.first; i < a.first+a.n; i++ {
-				want[r.shardOf(i)]++
-			}
+			want += a.n
 		}
 	}
 	return want
 }
 
-func (r *serverRun) shardOf(i int) int {
-	if r.w.shards > 1 {
-		return tenantShard(r.in.run[i], tenantField, r.w.shards)
-	}
-	return 0
-}
-
-func covers(shards int, o snapObs, want []int) bool {
-	if shards <= 1 {
-		return o.total >= want[0]
-	}
-	if o.shardTotals == nil {
-		return false
-	}
-	for i, t := range o.shardTotals {
-		if t < want[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// freshness assigns every accepted record its ordinal (per shard when
-// sharded; one ingest connection makes ack order the enqueue order) and
-// finds the first observed snapshot that contains it.
+// freshness assigns every accepted record its ordinal (one ingest
+// connection makes ack order the enqueue order) and finds the first
+// observed snapshot that contains it: the first whose observed total
+// reaches the ordinal.
 //
-// It also times each publish's pipeline: from the ack of the newest record
-// the snapshot added to the snapshot being visible, and for the replayed
-// miner (shard 0 of a cluster) the batch boundaries and their end-to-end
-// times from the due time of the request that completed them.
+// It also times each publish's pipeline, from the ack of the newest record
+// the snapshot added to the snapshot being visible, and records the batch
+// boundaries and their end-to-end times from the due time of the request
+// that completed them.
 func (r *serverRun) freshness() {
 	snaps := r.mon.snapshots()
-	shards := max(1, r.w.shards)
-	ackOf := make([][]int, shards) // per shard: run ordinal-1 -> index into acks
+	var ackOf []int // run ordinal-1 -> index into acks
 	for k, a := range r.ing.acks {
 		for j := 0; j < a.n; j++ {
-			s := r.shardOf(a.first + j)
-			ackOf[s] = append(ackOf[s], k)
+			ackOf = append(ackOf, k)
 			if !a.done.Before(r.end) {
 				continue // acknowledged in the cool-down
 			}
-			ord := r.base[s] + len(ackOf[s])
-			i := sort.Search(len(snaps), func(i int) bool { return snapHas(r.w.shards, snaps[i], s, ord) })
+			ord := r.base + len(ackOf)
+			i := sort.Search(len(snaps), func(i int) bool { return snaps[i].total >= ord })
 			if i < len(snaps) {
 				r.fresh = append(r.fresh, max(0, snaps[i].t.Sub(a.done)))
 			}
 		}
 	}
-	prev := append([]int(nil), r.base...)
+	prev := r.base
 	for _, o := range snaps {
-		cur := []int{o.total}
-		if r.w.shards > 1 {
-			if cur = o.shardTotals; cur == nil {
-				continue
+		if o.total > prev && o.total-r.base <= len(ackOf) {
+			a := &r.ing.acks[ackOf[o.total-r.base-1]]
+			r.batches = append(r.batches, batchObs{upto: o.total - r.base, e2e: o.t.Sub(a.due)})
+			if a.done.Before(r.end) {
+				r.pipelines = append(r.pipelines, max(0, o.t.Sub(a.done)))
 			}
 		}
-		var newest *ack
-		for s, t := range cur {
-			if t <= prev[s] || t-r.base[s] > len(ackOf[s]) {
-				continue
-			}
-			a := &r.ing.acks[ackOf[s][t-r.base[s]-1]]
-			if newest == nil || a.done.After(newest.done) {
-				newest = a
-			}
-			if s == 0 {
-				r.batches = append(r.batches, batchObs{upto: t - r.base[0], e2e: o.t.Sub(a.due)})
-			}
-		}
-		if newest != nil && newest.done.Before(r.end) {
-			r.pipelines = append(r.pipelines, max(0, o.t.Sub(newest.done)))
-		}
-		prev = append(prev[:0], cur...)
+		prev = o.total
 	}
-}
-
-// snapHas reports whether snapshot o contains ordinal ord of shard s. The
-// snapshots are in publish order and totals only grow, so this is
-// monotone in the snapshot index as sort.Search requires; unresolved
-// merged snapshots count as not containing anything, which only delays a
-// record to the next resolved one.
-func snapHas(shards int, o snapObs, s, ord int) bool {
-	if shards <= 1 {
-		return o.total >= ord
-	}
-	return o.shardTotals != nil && o.shardTotals[s] >= ord
 }
 
 // checkCounters compares the server's own counters with the load
@@ -430,24 +322,16 @@ func snapHas(shards int, o snapObs, s, ord int) bool {
 func (r *serverRun) checkCounters() error {
 	mv := r.metricsAt
 	accepted := len(r.ing.accepted())
-	if got := sum(mv, "ingest_accepted"); got != accepted {
+	if got := num(mv, "ingest_accepted"); got != accepted {
 		return fmt.Errorf("server counted %d accepted records, load generator %d", got, accepted)
 	}
-	for _, key := range []string{"ingest_rejected", "encode_errors", "rejected_total"} {
-		if got := sum(mv, key); got != 0 {
+	for _, key := range []string{"ingest_rejected", "encode_errors"} {
+		if got := num(mv, key); got != 0 {
 			return fmt.Errorf("%s = %d, want 0", key, got)
 		}
 	}
-	total := 0
-	for _, blk := range shardBlocks(mv) {
-		total += num(blk, "observed_total")
-	}
-	base := 0
-	for _, b := range r.base {
-		base += b
-	}
-	if total-base != accepted {
-		return fmt.Errorf("observed_total grew by %d, want %d accepted records", total-base, accepted)
+	if grew := num(mv, "observed_total") - r.base; grew != accepted {
+		return fmt.Errorf("observed_total grew by %d, want %d accepted records", grew, accepted)
 	}
 	return nil
 }
@@ -522,54 +406,23 @@ func (r *serverRun) reference(e *env) ([]rules.RuleJSON, error) {
 	accepted := r.ing.accepted()
 	cfg := noMining(r.w.config(filepath.Join(d, "state"), filepath.Join(d, "wal")), len(accepted))
 	cfg.Fsync = "never"
-	var feed func(server.Event) error
-	var stop func(context.Context) error
-	var snapshot func() *server.Snapshot
-	if r.w.shards > 1 {
-		c, err := shard.New(r.w.clusterConfig(cfg))
-		if err != nil {
-			return nil, err
-		}
-		feed, stop = c.Ingest, c.Stop
-		snapshot = func() *server.Snapshot { s, _ := c.Merged(); return s }
-	} else {
-		s, err := server.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		feed, stop, snapshot = s.Enqueue, s.Stop, s.Snapshot
+	s, err := server.New(cfg)
+	if err != nil {
+		return nil, err
 	}
 	for _, i := range accepted {
-		if err := enqueue(feed, r.in.run[i]); err != nil {
+		if err := enqueue(s.Enqueue, r.in.run[i]); err != nil {
 			return nil, err
 		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	if err := stop(ctx); err != nil {
+	if err := s.Stop(ctx); err != nil {
 		return nil, err
 	}
-	snap := snapshot()
+	snap := s.Snapshot()
 	if snap == nil {
 		return nil, fmt.Errorf("no final snapshot")
 	}
 	return rules.ManyToJSON(snap.View.Rules, snap.View.Catalog), os.RemoveAll(d)
-}
-
-// distinctMerged counts the merged snapshots (ETag "m<seq>-…") that a
-// read or the snapshot probe received.
-func (r *serverRun) distinctMerged() int {
-	seqs := map[string]bool{}
-	add := func(etag string) {
-		if e := strings.TrimPrefix(etag, `"m`); e != etag {
-			seqs[strings.SplitN(e, "-", 2)[0]] = true
-		}
-	}
-	for etag := range r.rd.seqSeen {
-		add(etag)
-	}
-	for _, o := range r.mon.snapshots() {
-		add(o.etag)
-	}
-	return len(seqs)
 }
