@@ -55,7 +55,9 @@
 // canonical PAI shape: -numeric columns are quartile-binned (-zero /
 // -spike subsets get their special bins), -tier columns are
 // activity-tiered, -bool columns parse as booleans in CSV bodies, and
-// -skip columns are ignored.
+// -skip columns are ignored. -skip replaces a spec's own skip list only
+// when given: under -spec pai the default keeps PAISpec's list, so the
+// num_tasks field of joined PAI events is skipped rather than rejected.
 //
 // With -shards N (N > 1) the daemon becomes an in-process sharded
 // multi-tenant deployment: events route to one of N independent shard
@@ -116,7 +118,7 @@ func main() {
 	spikes := flag.String("spike", "", "generic spec: numeric fields given a Std spike bin")
 	tiers := flag.String("tier", "", "generic spec: fields to activity-tier")
 	bools := flag.String("bool", "", "generic spec: fields parsed as booleans in CSV bodies")
-	skips := flag.String("skip", "job_id,submit_s", "fields excluded from encoding")
+	skips := flag.String("skip", "", "fields excluded from encoding; empty keeps the spec's own list (pai: job_id,submit_s,num_tasks; generic: job_id,submit_s)")
 	shards := flag.Int("shards", 1, "shard miner count; >1 serves a sharded multi-tenant deployment")
 	tenantField := flag.String("tenant-field", "tenant", "event field carrying the tenant key in sharded mode")
 	tenantQuota := flag.Int("tenant-quota", 0, "max accepted events per tenant per -quota-window; 0 disables quotas")
@@ -233,6 +235,9 @@ func genericSpec(o options) server.Spec {
 		spike[s] = true
 	}
 	spec := server.Spec{Bools: o.bools, Skip: o.skips}
+	if len(spec.Skip) == 0 {
+		spec.Skip = []string{"job_id", "submit_s"}
+	}
 	for _, f := range o.numeric {
 		n := server.NumericSpec{Field: f, ZeroSpecial: zero[f]}
 		if spike[f] {

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
@@ -18,16 +19,24 @@ import (
 
 	"repro/internal/server"
 	"repro/internal/shard"
+	"repro/internal/trace"
 )
 
 // TestMain doubles as the child process for the SIGTERM test: when
 // SERVE_CHILD=1 the test binary runs a real serve daemon (the same run()
 // main uses) instead of the test suite, so the parent can exercise actual
-// signal delivery across a process boundary.
+// signal delivery across a process boundary. SERVE_MAIN_ARGS runs main
+// itself on those arguments, so a test sees the real flag defaults.
 func TestMain(m *testing.M) {
 	if os.Getenv("SERVE_CHILD") == "1" {
 		childMain()
 		return
+	}
+	if args := os.Getenv("SERVE_MAIN_ARGS"); args != "" {
+		// The real flag parsing and defaults, as a deployed binary sees them.
+		os.Args = append([]string{"serve"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
 	}
 	os.Exit(m.Run())
 }
@@ -146,6 +155,106 @@ func TestBuildConfigPAI(t *testing.T) {
 	}
 	if cfg.WindowSize != 1000 || cfg.MineBatch != 500 {
 		t.Errorf("sizing flags not applied: %+v", cfg)
+	}
+}
+
+// TestPAIDefaultSkipAcceptsFrameEvents runs the real main with no -skip
+// flag: the pai spec must keep its own skip list, so joined PAI events —
+// num_tasks included — are accepted and num_tasks never becomes an item.
+// Without -skip the generic spec still skips job_id and submit_s.
+func TestPAIDefaultSkipAcceptsFrameEvents(t *testing.T) {
+	o := baseOptions()
+	o.spec, o.skips = "generic", nil
+	if g, err := buildConfig(o); err != nil || !reflect.DeepEqual(g.Spec.Skip, []string{"job_id", "submit_s"}) {
+		t.Fatalf("generic Skip = %v (err %v), want [job_id submit_s]", g.Spec.Skip, err)
+	}
+
+	const jobs = 300
+	tr, err := trace.GeneratePAI(trace.Config{Jobs: jobs, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined, err := tr.Scheduler.InnerJoin(tr.Node, "job_id", "job_id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	for _, ev := range server.FrameEvents(joined) {
+		if _, ok := ev["num_tasks"]; !ok {
+			t.Fatal("joined PAI event carries no num_tasks field")
+		}
+		line, _ := json.Marshal(ev)
+		body.Write(line)
+		body.WriteByte('\n')
+	}
+
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "SERVE_MAIN_ARGS=-addr "+addr+
+		fmt.Sprintf(" -spec pai -window 1000 -bootstrap 100 -mine-batch %d -mine-interval 1h", jobs))
+	var out bytes.Buffer
+	cmd.Stdout = &out
+	cmd.Stderr = &out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		_ = cmd.Process.Signal(syscall.SIGTERM)
+		_ = cmd.Wait()
+	}()
+	base := "http://" + addr
+	waitUntil := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s:\n%s", what, out.String())
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+	waitUntil("healthz", func() bool {
+		resp, err := http.Get(base + "/healthz")
+		if err == nil {
+			resp.Body.Close()
+		}
+		return err == nil
+	})
+	resp, err := http.Post(base+"/v1/jobs", "application/x-ndjson", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var ingest struct{ Accepted, Rejected int }
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(msg, &ingest) != nil || ingest.Accepted != jobs {
+		t.Fatalf("ingest status = %d, want all %d jobs accepted: %.300s", resp.StatusCode, jobs, msg)
+	}
+	waitUntil("a snapshot over every job", func() bool {
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			return false
+		}
+		defer resp.Body.Close()
+		var metrics map[string]any
+		return json.NewDecoder(resp.Body).Decode(&metrics) == nil && metrics["observed_total"] == float64(jobs)
+	})
+	resp, err = http.Get(base + "/v1/rules?limit=100000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rulesBody, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !bytes.Contains(rulesBody, []byte(`"antecedent"`)) {
+		t.Fatalf("no rules mined: %.300s", rulesBody)
+	}
+	if bytes.Contains(rulesBody, []byte("num_tasks")) {
+		t.Error("num_tasks was encoded as an item")
 	}
 }
 

@@ -66,7 +66,7 @@ func writeRulesLinear(w http.ResponseWriter, r *http.Request, snap *Snapshot, p 
 		resp.Shard = &shard
 	}
 	if q.keyword == "" {
-		resp.Rules = rules.ManyToJSON(applyQuery(view.Rules, q), view.Catalog)
+		resp.Rules = rules.ManyToJSON(applyQueryStable(view.Rules, q), view.Catalog)
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
@@ -94,10 +94,10 @@ func writeRulesLinear(w http.ResponseWriter, r *http.Request, snap *Snapshot, p 
 	}
 	split := rules.Split(kept, item)
 	if q.kind == "" || q.kind == "all" || q.kind == "cause" {
-		resp.Cause = rules.ManyToJSON(applyQuery(split.Cause, q), view.Catalog)
+		resp.Cause = rules.ManyToJSON(applyQueryStable(split.Cause, q), view.Catalog)
 	}
 	if q.kind == "" || q.kind == "all" || q.kind == "characteristic" {
-		resp.Characteristic = rules.ManyToJSON(applyQuery(split.Characteristic, q), view.Catalog)
+		resp.Characteristic = rules.ManyToJSON(applyQueryStable(split.Characteristic, q), view.Catalog)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -108,30 +108,7 @@ func writeRulesLinear(w http.ResponseWriter, r *http.Request, snap *Snapshot, p 
 // the HTTP and mining-loop machinery around it.
 func minedSnapshot(tb testing.TB, jobs, window int, seed int64) *Snapshot {
 	tb.Helper()
-	lines := paiNDJSON(tb, jobs, seed)
-	idx := newSpecIndex(PAISpec())
-	enc := newEncoder(idx, 500, 0.8, []string{"status=failed"})
-	miner, err := stream.New(nil, stream.Config{WindowSize: window, Workers: 1})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	observe := func(txns [][]string) {
-		for _, items := range txns {
-			miner.ObserveNames(items...)
-		}
-	}
-	for _, line := range lines {
-		var ev Event
-		if err := json.Unmarshal(line, &ev); err != nil {
-			tb.Fatal(err)
-		}
-		if err := idx.validate(ev); err != nil {
-			tb.Fatalf("generated event rejected: %v", err)
-		}
-		observe(enc.add(ev))
-	}
-	observe(enc.flush())
-	view := miner.BeginView().Mine()
+	view := minedViews(tb, seed, window, 0, jobs)[0]
 	snap := &Snapshot{
 		Seq:     int64(seed%5) + 1,
 		PrevSeq: int64(seed % 5),
@@ -141,6 +118,44 @@ func minedSnapshot(tb testing.TB, jobs, window int, seed int64) *Snapshot {
 	}
 	snap.Index = NewRuleIndex(view)
 	return snap
+}
+
+// minedViews streams generated PAI jobs through the server's encode
+// pipeline into one sliding-window miner (itemsets capped at maxLen, 0 for
+// the default) and mines a view once cuts[i] jobs have been observed, for
+// each ascending cut — consecutive snapshots of one stream.
+func minedViews(tb testing.TB, seed int64, window, maxLen int, cuts ...int) []*stream.View {
+	tb.Helper()
+	lines := paiNDJSON(tb, cuts[len(cuts)-1], seed)
+	idx := newSpecIndex(PAISpec())
+	enc := newEncoder(idx, 500, 0.8, []string{"status=failed"})
+	miner, err := stream.New(nil, stream.Config{WindowSize: window, MaxLen: maxLen, Workers: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	observe := func(txns [][]string) {
+		for _, items := range txns {
+			miner.ObserveNames(items...)
+		}
+	}
+	var views []*stream.View
+	for i, line := range lines {
+		var ev Event
+		if err := json.Unmarshal(line, &ev); err != nil {
+			tb.Fatal(err)
+		}
+		if err := idx.validate(ev); err != nil {
+			tb.Fatalf("generated event rejected: %v", err)
+		}
+		observe(enc.add(ev))
+		if i+1 == cuts[len(views)] {
+			if len(views) == len(cuts)-1 {
+				observe(enc.flush())
+			}
+			views = append(views, miner.BeginView().Mine())
+		}
+	}
+	return views
 }
 
 // catalogNames lists every item name in the snapshot's catalog.

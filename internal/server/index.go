@@ -10,6 +10,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -74,9 +75,10 @@ type keywordAnalysis struct {
 	relevantSplit rules.Analysis
 }
 
-// NewRuleIndex builds the index for view. Cost is O(rules·len + items +
-// n log n) — negligible next to the mine that produced the view — and it
-// runs once per publish, never per request.
+// NewRuleIndex builds the index for view. Cost is O(rules·len + items)
+// with a constant number of allocations. It runs once per publish, never
+// per request, but it runs on the serving loop ahead of every snapshot,
+// so it counts toward last_publish_ms.
 func NewRuleIndex(view *stream.View) *RuleIndex {
 	items := 0
 	if view.Catalog != nil {
@@ -93,17 +95,57 @@ func NewRuleIndex(view *stream.View) *RuleIndex {
 	return ix
 }
 
-// sortedOrder returns rule indices sorted descending by key, stable over
-// the original order so ties keep their lift-descending rank. Sorting an
-// index permutation (and reading the key through a pointer) avoids moving
-// the fat Rule structs during the sort.
+// sortedOrder returns rule indices sorted descending by key, ties kept in
+// the original order so they hold their lift-descending rank: exactly the
+// permutation a stable comparison sort gives. It is an LSD radix sort over
+// the keys' bits. Each byte pass is a stable counting sort, so tied keys
+// never reorder, and a pass whose byte is the same for every key is
+// skipped. The fat Rule structs never move.
 func sortedOrder(rs []rules.Rule, key func(r *rules.Rule) float64) []int32 {
-	order := make([]int32, len(rs))
-	for i := range order {
+	n := len(rs)
+	keys, keysTmp := make([]uint64, n), make([]uint64, n)
+	order, orderTmp := make([]int32, n), make([]int32, n)
+	for i := range rs {
+		keys[i] = descendingBits(key(&rs[i]))
 		order[i] = int32(i)
 	}
-	sort.SliceStable(order, func(i, j int) bool { return key(&rs[order[i]]) > key(&rs[order[j]]) })
+	for shift := 0; n > 0 && shift < 64; shift += 8 {
+		var offsets [256]int
+		for _, k := range keys {
+			offsets[byte(k>>shift)]++
+		}
+		if offsets[byte(keys[0]>>shift)] == n {
+			continue
+		}
+		sum := 0
+		for d, c := range offsets {
+			offsets[d] = sum
+			sum += c
+		}
+		for i, k := range keys {
+			j := offsets[byte(k>>shift)]
+			offsets[byte(k>>shift)]++
+			keysTmp[j], orderTmp[j] = k, order[i]
+		}
+		keys, keysTmp = keysTmp, keys
+		order, orderTmp = orderTmp, order
+	}
 	return order
+}
+
+// descendingBits maps f to a uint64 whose ascending order is f's
+// descending order. -0 maps like +0, since > treats them as equal.
+func descendingBits(f float64) uint64 {
+	b := math.Float64bits(f)
+	if f == 0 {
+		b = 0
+	}
+	// Ascending-sortable bits: negatives flip entirely, positives gain
+	// the sign bit. The complement then reverses the order.
+	if b>>63 != 0 {
+		return b
+	}
+	return ^(b | 1<<63)
 }
 
 // order returns the precomputed permutation for a sort key; nil means the
@@ -126,7 +168,7 @@ func (ix *RuleIndex) order(sortKey string) []int32 {
 func (ix *RuleIndex) collect(q ruleQuery) []rules.Rule {
 	rs := ix.view.Rules
 	order := ix.order(q.sortKey)
-	out := make([]rules.Rule, 0, q.limit)
+	out := make([]rules.Rule, 0, min(q.limit, len(rs)))
 	skip := q.offset
 	for i := 0; i < len(rs); i++ {
 		r := &rs[i]

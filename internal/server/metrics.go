@@ -9,15 +9,16 @@ import (
 // the point is that an operator (or a scrape job) can watch ingest keep up
 // with mining at a glance.
 type metrics struct {
-	accepted      atomic.Int64 // events enqueued
-	rejected      atomic.Int64 // events refused by validation
-	throttled     atomic.Int64 // events refused by backpressure (429)
-	encodeErrors  atomic.Int64 // events dropped inside the mining loop
-	encodePanics  atomic.Int64 // poison events whose encode panicked (recovered)
-	mineCount     atomic.Int64 // snapshots published
-	lastMineNanos atomic.Int64 // duration of the latest re-mine
-	minePanics    atomic.Int64 // mines that panicked (recovered, snapshot kept)
-	mineTimeouts  atomic.Int64 // mines abandoned by the watchdog
+	accepted         atomic.Int64 // events enqueued
+	rejected         atomic.Int64 // events refused by validation
+	throttled        atomic.Int64 // events refused by backpressure (429)
+	encodeErrors     atomic.Int64 // events dropped inside the mining loop
+	encodePanics     atomic.Int64 // poison events whose encode panicked (recovered)
+	mineCount        atomic.Int64 // snapshots published
+	lastMineNanos    atomic.Int64 // duration of the latest re-mine
+	lastPublishNanos atomic.Int64 // duration of the latest publish: diff, index build, watch fan-out
+	minePanics       atomic.Int64 // mines that panicked (recovered, snapshot kept)
+	mineTimeouts     atomic.Int64 // mines abandoned by the watchdog
 
 	mineIncremental  atomic.Int64 // mines served by the maintained FP-tree
 	mineFullRebuilds atomic.Int64 // mines that (re)built the tree from the window
@@ -49,6 +50,7 @@ func (s *Server) metricsView() map[string]any {
 		"window_capacity":         s.cfg.WindowSize,
 		"mine_count":              s.metrics.mineCount.Load(),
 		"last_mine_ms":            float64(s.metrics.lastMineNanos.Load()) / 1e6,
+		"last_publish_ms":         float64(s.metrics.lastPublishNanos.Load()) / 1e6,
 		"mine_panics_total":       s.metrics.minePanics.Load(),
 		"mine_timeouts_total":     s.metrics.mineTimeouts.Load(),
 		"mine_incremental_total":  s.metrics.mineIncremental.Load(),

@@ -712,7 +712,6 @@ func (s *Server) mine(miner *stream.Miner) {
 			return
 		}
 		s.publish(out.view, s.clock.Now().Sub(start))
-		s.metrics.degraded.Store(degradedNone)
 	case <-timeout:
 		// The goroutine is beyond recall; it holds only its PendingView
 		// (a private catalog clone plus immutable window sets), so the
@@ -735,8 +734,11 @@ func (s *Server) degrade(code int32) {
 	}
 }
 
-// publish swaps in a freshly mined snapshot.
+// publish swaps in a freshly mined snapshot. Its own cost — diff, index
+// build and watch fan-out, all on the serving loop ahead of the swap — is
+// timed separately from the mine as last_publish_ms.
 func (s *Server) publish(view *stream.View, took time.Duration) {
+	start := s.clock.Now()
 	prev := s.snap.Load()
 	var delta stream.Delta
 	// The first mine is seq 1 on a cold start; after a restore it
@@ -757,16 +759,20 @@ func (s *Server) publish(view *stream.View, took time.Duration) {
 	snap := &Snapshot{
 		Seq:          seq,
 		PrevSeq:      prevSeq,
-		MinedAt:      s.clock.Now(),
+		MinedAt:      start,
 		MineDuration: took,
 		View:         view,
 		Index:        NewRuleIndex(view),
 		Delta:        delta,
 	}
+	// A clean mine heals any degradation; clear it before the swap so a
+	// reader that sees the new snapshot never sees it reported degraded.
+	s.metrics.degraded.Store(degradedNone)
 	s.snap.Store(snap)
 	s.watch.Publish(snap)
-	s.metrics.mineCount.Add(1)
 	s.metrics.lastMineNanos.Store(int64(took))
+	s.metrics.lastPublishNanos.Store(int64(s.clock.Now().Sub(start)))
+	s.metrics.mineCount.Add(1)
 }
 
 // Watch exposes the drift push hub, so a fronting tier (the shard cluster)

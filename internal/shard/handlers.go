@@ -291,12 +291,16 @@ func (c *Cluster) writePrometheus(w http.ResponseWriter) {
 		incremental int64
 		rebuilds    int64
 		dur         float64
+		publish     float64
 	}
 	gauges := make([]shardGauge, len(c.shards))
 	for i, s := range c.shards {
 		m := s.Metrics()
 		if ms, ok := m["last_mine_ms"].(float64); ok {
 			gauges[i].dur = ms / 1e3
+		}
+		if ms, ok := m["last_publish_ms"].(float64); ok {
+			gauges[i].publish = ms / 1e3
 		}
 		if v, ok := m["snapshot_seq"].(int64); ok {
 			gauges[i].seq = v
@@ -311,6 +315,11 @@ func (c *Cluster) writePrometheus(w http.ResponseWriter) {
 			gauges[i].rebuilds = v
 		}
 		fmt.Fprintf(&b, "armine_shard_mine_duration_seconds{shard=\"%d\"} %g\n", i, gauges[i].dur)
+	}
+	fmt.Fprintf(&b, "# HELP armine_shard_publish_duration_seconds Duration of the shard's latest publish: drift diff, rule index build and watch fan-out.\n")
+	fmt.Fprintf(&b, "# TYPE armine_shard_publish_duration_seconds gauge\n")
+	for i := range gauges {
+		fmt.Fprintf(&b, "armine_shard_publish_duration_seconds{shard=\"%d\"} %g\n", i, gauges[i].publish)
 	}
 	fmt.Fprintf(&b, "# HELP armine_shard_snapshot_seq Latest published snapshot sequence number.\n")
 	fmt.Fprintf(&b, "# TYPE armine_shard_snapshot_seq gauge\n")

@@ -352,6 +352,9 @@ func TestMetricsScrapeFormat(t *testing.T) {
 		`armine_tenant_quota_rejections_total{tenant="acme",shard="` + itoa(acmeShard) + `"} 1`,
 		`armine_tenant_ingested_total{tenant="we\"ird",shard="` + itoa(c.ShardFor(`we"ird`)) + `"} 1`,
 		`armine_shard_mine_duration_seconds{shard="0"}`,
+		"# TYPE armine_shard_publish_duration_seconds gauge",
+		`armine_shard_publish_duration_seconds{shard="0"} `,
+		`armine_shard_publish_duration_seconds{shard="1"} `,
 		`armine_shard_snapshot_seq{shard="1"}`,
 		`armine_shard_ingest_accepted_total{shard="0"}`,
 		"# TYPE armine_shard_mine_incremental_total counter",

@@ -378,26 +378,43 @@ type Postings [][]int32
 // IndexRules builds the inverted index for rs over a catalog of items
 // ids. Rule indices appear in each posting list in rule order, so
 // materializing a list reproduces exactly the subsequence a linear
-// Contains scan would have produced.
+// Contains scan would have produced. Items are counted before any list is
+// filled, so every list is carved out of one shared slab.
 func IndexRules(rs []rules.Rule, items int) Postings {
-	p := make(Postings, items)
-	add := func(it itemset.Item, idx int32) {
-		// Defensive growth: a rule item beyond the declared catalog length
-		// (impossible for views built by this package) must not panic the
-		// read path.
-		if int(it) >= len(p) {
-			grown := make(Postings, int(it)+1)
-			copy(grown, p)
-			p = grown
+	counts := make([]int32, items)
+	total := 0
+	for i := range rs {
+		for _, s := range [2]itemset.Set{rs[i].Antecedent, rs[i].Consequent} {
+			for _, it := range s {
+				// A rule item beyond the declared catalog length
+				// (impossible for views built by this package) widens the
+				// index instead of panicking the read path.
+				if int(it) >= len(counts) {
+					counts = append(counts, make([]int32, int(it)+1-len(counts))...)
+				}
+				counts[it]++
+			}
+			total += len(s)
 		}
-		p[it] = append(p[it], idx)
 	}
-	for i, r := range rs {
-		for _, it := range r.Antecedent {
-			add(it, int32(i))
+	// Carve each item's list out of one slab; counts becomes each list's
+	// fill cursor.
+	p := make(Postings, len(counts))
+	slab := make([]int32, total)
+	off := int32(0)
+	for it, c := range counts {
+		if c > 0 {
+			p[it] = slab[off : off+c : off+c]
 		}
-		for _, it := range r.Consequent {
-			add(it, int32(i))
+		counts[it] = off
+		off += c
+	}
+	for i := range rs {
+		for _, s := range [2]itemset.Set{rs[i].Antecedent, rs[i].Consequent} {
+			for _, it := range s {
+				slab[counts[it]] = int32(i)
+				counts[it]++
+			}
 		}
 	}
 	return p
@@ -422,36 +439,87 @@ type Delta struct {
 	Jaccard float64
 }
 
-// Diff compares two snapshots structurally.
+// Diff compares two snapshots structurally. It is a hash join: prev goes
+// into one open-addressed table keyed on the rule's (antecedent, consequent)
+// hash, cur probes it, and every hit is confirmed with Set.Equal because
+// distinct rules may collide. Work is linear in len(prev)+len(cur) with a
+// constant number of allocations. A rule listed twice in one snapshot
+// counts once toward Jaccard but appears in Appeared/Vanished as often as
+// it is listed.
 func Diff(prev, cur []rules.Rule) Delta {
-	key := func(r rules.Rule) string { return r.Antecedent.Key() + "=>" + r.Consequent.Key() }
-	prevKeys := make(map[string]bool, len(prev))
-	for _, r := range prev {
-		prevKeys[key(r)] = true
-	}
-	curKeys := make(map[string]bool, len(cur))
-	for _, r := range cur {
-		curKeys[key(r)] = true
-	}
-	var d Delta
-	for _, r := range cur {
-		if !prevKeys[key(r)] {
-			d.Appeared = append(d.Appeared, r)
+	np := len(prev)
+	n := np + len(cur)
+	rule := func(k int32) *rules.Rule {
+		if int(k) < np {
+			return &prev[k]
 		}
+		return &cur[int(k)-np]
 	}
-	for _, r := range prev {
-		if !curKeys[key(r)] {
-			d.Vanished = append(d.Vanished, r)
+	// Rule k (prev first, then cur) hashes to hashes[k] and lives in table
+	// slot slots[k]. A table entry is 0 when empty, otherwise k+1 of the
+	// first rule with its key; a prev entry is negated once cur matches it.
+	hashes := make([]uint64, n)
+	slots := make([]int32, n)
+	size := 1
+	for size < 2*n {
+		size <<= 1
+	}
+	table := make([]int32, size)
+	mask := uint64(size - 1)
+	// Counts of distinct keys: in prev, in both, and in cur only.
+	distinctPrev, inter, curOnly := 0, 0, 0
+	for k := int32(0); int(k) < n; k++ {
+		r := rule(k)
+		h := ruleHash(r)
+		hashes[k] = h
+		s := h & mask
+		for ; table[s] != 0; s = (s + 1) & mask {
+			o := table[s]
+			if o < 0 {
+				o = -o
+			}
+			o--
+			if hashes[o] == h && rule(o).Antecedent.Equal(r.Antecedent) && rule(o).Consequent.Equal(r.Consequent) {
+				break
+			}
 		}
-	}
-	inter := 0
-	for k := range curKeys {
-		if prevKeys[k] {
+		slots[k] = int32(s)
+		switch e := table[s]; {
+		case e == 0:
+			table[s] = k + 1
+			if int(k) < np {
+				distinctPrev++
+			} else {
+				curOnly++
+			}
+		case int(k) >= np && e > 0 && int(e) <= np:
+			table[s] = -e
 			inter++
 		}
 	}
-	union := len(prevKeys) + len(curKeys) - inter
-	if union == 0 {
+	var d Delta
+	appeared, vanished := 0, 0
+	for k := range slots {
+		if e := table[slots[k]]; k < np && e > 0 {
+			vanished++
+		} else if k >= np && int(e) > np {
+			appeared++
+		}
+	}
+	if appeared > 0 {
+		d.Appeared = make([]rules.Rule, 0, appeared)
+	}
+	if vanished > 0 {
+		d.Vanished = make([]rules.Rule, 0, vanished)
+	}
+	for k := range slots {
+		if e := table[slots[k]]; k < np && e > 0 {
+			d.Vanished = append(d.Vanished, prev[k])
+		} else if k >= np && int(e) > np {
+			d.Appeared = append(d.Appeared, cur[k-np])
+		}
+	}
+	if union := distinctPrev + curOnly; union == 0 {
 		d.Jaccard = 1
 	} else {
 		d.Jaccard = float64(inter) / float64(union)
@@ -459,6 +527,18 @@ func Diff(prev, cur []rules.Rule) Delta {
 	sort.Slice(d.Appeared, func(i, j int) bool { return d.Appeared[i].Lift > d.Appeared[j].Lift })
 	sort.Slice(d.Vanished, func(i, j int) bool { return d.Vanished[i].Lift > d.Vanished[j].Lift })
 	return d
+}
+
+// ruleHash keys a rule by structure for Diff's join. Mixing the antecedent
+// hash before folding in the consequent's keeps it order-sensitive (A⇒B and
+// B⇒A hash apart), and the final avalanche spreads FNV's weak low bits over
+// the table mask.
+func ruleHash(r *rules.Rule) uint64 {
+	h := r.Antecedent.Hash()*0x9e3779b97f4a7c15 ^ r.Consequent.Hash()
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h
 }
 
 // KeywordDelta narrows a delta to the rules mentioning the keyword on

@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # bench.sh — run the mining hot-path benchmarks and record the numbers in
-# BENCH_mining.json at the repo root, then the serving read-path
-# benchmarks into BENCH_serving.json.
+# BENCH_mining.json at the repo root, the serving read-path benchmarks into
+# BENCH_serving.json, and the per-publish stages (drift diff, rule index
+# build) into BENCH_publish.json.
 #
 # Usage:
-#   scripts/bench.sh                 # refresh the "current" numbers
-#   scripts/bench.sh --set-baseline  # also copy them into "baseline"
+#   scripts/bench.sh                          # refresh every "current" section
+#   scripts/bench.sh --set-baseline           # also copy them into "baseline"
+#   scripts/bench.sh [--set-baseline] publish # only the named files:
+#                                             # mining, serving, publish
 #
 # The baseline section is meant to be captured once on the commit you are
 # comparing against (e.g. before a performance change) and left alone
@@ -19,10 +22,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT=BENCH_mining.json
 BENCHTIME=${BENCHTIME:-1s}
 SET_BASELINE=0
-[ "${1:-}" = "--set-baseline" ] && SET_BASELINE=1
+[ "${1:-}" = "--set-baseline" ] && SET_BASELINE=1 && shift
+SECTIONS=${*:-mining serving publish}
+want() { [[ " $SECTIONS " == *" $1 "* ]]; }
 
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
@@ -44,6 +48,29 @@ run() { # run <pkg> <bench regexp>
         }' >>"$raw"
 }
 
+# write_baselined <out> <note>: the captured benchmarks as "current", with
+# "baseline" carried over from <out> (or replaced, under --set-baseline).
+write_baselined() {
+    local current baseline=null
+    current=$(jq -Rn '
+      [inputs | split("\t") |
+       {package: .[0], name: .[1], iterations: (.[2] | tonumber),
+        ns_per_op: (.[3] | tonumber), bytes_per_op: (.[4] | tonumber),
+        allocs_per_op: (.[5] | tonumber)}]' <"$raw")
+    if [ "$SET_BASELINE" = 1 ]; then
+        baseline=$current
+    elif [ -f "$1" ]; then
+        baseline=$(jq '.baseline' "$1")
+    fi
+    jq -n --argjson current "$current" --argjson baseline "$baseline" \
+        --arg go "$(go version | awk '{print $3}')" \
+        --arg benchtime "$BENCHTIME" --arg note "$2" '
+      {generated_by: "scripts/bench.sh", go: $go, benchtime: $benchtime,
+       note: $note, baseline: $baseline, current: $current}' >"$1"
+    echo "wrote $1" >&2
+}
+
+if want mining; then
 # FP-Growth engine: initial tree construction and mining across densities,
 # thresholds and worker counts (20k-transaction class databases).
 run ./internal/fpgrowth 'BenchmarkBuildInitial|BenchmarkMineByDensity|BenchmarkMineByThreshold|BenchmarkMineParallelism'
@@ -56,27 +83,11 @@ run ./internal/rules 'BenchmarkGenerate'
 # ingest+mine loop.
 run . 'BenchmarkMinerFPGrowth$|BenchmarkMinerFPGrowthSequential$|BenchmarkServerIngestMine$'
 
-current=$(jq -Rn '
-  [inputs | split("\t") |
-   {package: .[0], name: .[1], iterations: (.[2] | tonumber),
-    ns_per_op: (.[3] | tonumber), bytes_per_op: (.[4] | tonumber),
-    allocs_per_op: (.[5] | tonumber)}]' <"$raw")
-
-baseline=null
-if [ "$SET_BASELINE" = 1 ]; then
-    baseline=$current
-elif [ -f "$OUT" ]; then
-    baseline=$(jq '.baseline' "$OUT")
+write_baselined BENCH_mining.json \
+    "ns/B/allocs are per op; baseline is the pre-optimization capture, current the latest run"
 fi
 
-jq -n --argjson current "$current" --argjson baseline "$baseline" \
-    --arg go "$(go version | awk '{print $3}')" \
-    --arg benchtime "$BENCHTIME" '
-  {generated_by: "scripts/bench.sh", go: $go, benchtime: $benchtime,
-   note: "ns/B/allocs are per op; baseline is the pre-optimization capture, current the latest run",
-   baseline: $baseline, current: $current}' >"$OUT"
-echo "wrote $OUT" >&2
-
+if want serving; then
 # Serving read path: repeated /v1/rules queries against one 20k-job
 # snapshot, the indexed handlers against the in-tree linear oracle.
 SERVING_OUT=BENCH_serving.json
@@ -101,3 +112,15 @@ jq -Rn --arg go "$(go version | awk '{print $3}')" --arg benchtime "$BENCHTIME" 
      ] | map(. + {speedup: ((.before.ns_per_op / .after.ns_per_op) * 10 | round / 10)})}
   ' <"$raw" >"$SERVING_OUT"
 echo "wrote $SERVING_OUT" >&2
+fi
+
+if want publish; then
+# Publish path: the drift diff and the rule index build a serving loop runs
+# ahead of every snapshot, over two consecutive window-5000 PAI views 1000
+# jobs apart (~150k rules each).
+: >"$raw"
+run ./internal/stream 'BenchmarkDiff$'
+run ./internal/server 'BenchmarkNewRuleIndex$'
+write_baselined BENCH_publish.json \
+    "ns/B/allocs are per publish over ~150k-rule views; baseline is the string-keyed Diff and sort.SliceStable/append-grown index, current the hash-join Diff and radix-sorted, slab-carved index"
+fi
