@@ -42,14 +42,14 @@
 // hung re-mine and keeps serving the last good snapshot, marked stale,
 // while /healthz reports the degraded state.
 //
-// With -incremental the mining loop maintains its FP-tree across mines —
-// weighted inserts for arriving jobs, weighted decrements along evicted
-// paths — so steady-state re-mine cost is proportional to the jobs that
-// arrived since the last mine rather than the window size; rules are
-// identical, and /metrics' mine_incremental_total / mine_full_rebuild_total
-// show how often the rank-drift/fragmentation fallback rebuilds from
-// scratch. -pprof-addr exposes net/http/pprof on a separate listener for
-// profiling the mine loop in production.
+// The mining loop maintains its FP-tree across mines — weighted inserts
+// for arriving jobs, weighted decrements along evicted paths — so
+// steady-state re-mine cost is proportional to the jobs that arrived since
+// the last mine rather than the window size. /metrics'
+// mine_incremental_total / mine_full_rebuild_total show how often the
+// rank-drift/fragmentation fallback rebuilds the tree from scratch.
+// -pprof-addr exposes net/http/pprof on a separate listener for profiling
+// the mine loop in production.
 //
 // With -spec generic the encoder is derived from flags instead of the
 // canonical PAI shape: -numeric columns are quartile-binned (-zero /
@@ -101,7 +101,6 @@ func main() {
 	mineInterval := flag.Duration("mine-interval", 2*time.Second, "re-mine cadence")
 	mineBatch := flag.Int("mine-batch", 1000, "re-mine after this many new jobs")
 	mineWorkers := flag.Int("mine-workers", 0, "mining parallelism (0 = all cores, 1 = serial)")
-	incremental := flag.Bool("incremental", false, "maintain the FP-tree across mines so steady-state mine cost tracks the ingest delta, not the window size (rules are identical; a rank-drift or fragmentation fallback rebuilds when needed)")
 	pprofAddr := flag.String("pprof-addr", "", "listen address for net/http/pprof profiles (e.g. localhost:6060); empty disables")
 	queue := flag.Int("queue", 8192, "ingest queue capacity (full queue => 429)")
 	watchHistory := flag.Int("watch-history", 64, "drift events retained for /v1/drift/watch Last-Event-ID resume")
@@ -130,8 +129,7 @@ func main() {
 		minSupport: *minSupport, minLift: *minLift, maxLen: *maxLen,
 		cLift: *cLift, cSupp: *cSupp,
 		mineInterval: *mineInterval, mineBatch: *mineBatch, mineWorkers: *mineWorkers,
-		incremental: *incremental,
-		queue:       *queue, bootstrap: *bootstrap, watchHistory: *watchHistory,
+		queue: *queue, bootstrap: *bootstrap, watchHistory: *watchHistory,
 		stateDir: *stateDir, checkpointEvery: *checkpointEvery, keep: splitList(*keep),
 		walDir: *walDir, fsync: *fsync, fsyncInterval: *fsyncInterval, mineTimeout: *mineTimeout,
 		numeric: splitList(*numeric), zeros: splitList(*zeros), spikes: splitList(*spikes),
@@ -176,7 +174,6 @@ type options struct {
 	window, maxLen, mineBatch            int
 	queue, bootstrap, mineWorkers        int
 	checkpointEvery, watchHistory        int
-	incremental                          bool
 	minSupport, minLift, cLift, cSupp    float64
 	mineInterval, mineTimeout            time.Duration
 	fsyncInterval                        time.Duration
@@ -200,7 +197,6 @@ func buildConfig(o options) (server.Config, error) {
 		QueueSize:       o.queue,
 		WatchHistory:    o.watchHistory,
 		Workers:         o.mineWorkers,
-		Incremental:     o.incremental,
 		StateDir:        o.stateDir,
 		CheckpointEvery: o.checkpointEvery,
 		KeepItems:       o.keep,

@@ -274,22 +274,6 @@ func TestBuildConfigMineWorkers(t *testing.T) {
 	}
 }
 
-func TestBuildConfigIncremental(t *testing.T) {
-	o := baseOptions()
-	o.incremental = true
-	cfg, err := buildConfig(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cfg.Incremental {
-		t.Error("Incremental not set from -incremental")
-	}
-	o.incremental = false
-	if cfg, _ = buildConfig(o); cfg.Incremental {
-		t.Error("Incremental on by default; -incremental must be opt-in")
-	}
-}
-
 func TestBuildConfigGeneric(t *testing.T) {
 	o := baseOptions()
 	o.spec = "generic"

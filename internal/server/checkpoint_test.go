@@ -132,6 +132,22 @@ func TestCheckpointRestartByteIdenticalRules(t *testing.T) {
 				q, uninterrupted[i], restarted)
 		}
 	}
+	// Every mine lands in exactly one of the two mine counters, and both
+	// stay exported for dashboards.
+	if code := getJSON(t, ts.URL+"/metrics", &m); code != http.StatusOK {
+		t.Fatalf("metrics status %d", code)
+	}
+	incr, ok := m["mine_incremental_total"].(float64)
+	if !ok {
+		t.Fatal("mine_incremental_total missing from /metrics")
+	}
+	rebuilds, ok := m["mine_full_rebuild_total"].(float64)
+	if !ok {
+		t.Fatal("mine_full_rebuild_total missing from /metrics")
+	}
+	if incr+rebuilds < 1 {
+		t.Errorf("restarted server mined %v times by either counter, want ≥ 1", incr+rebuilds)
+	}
 
 	// The atomic tmp+rename never leaves partial files behind: only the two
 	// checkpoint generations may exist.

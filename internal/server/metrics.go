@@ -20,8 +20,8 @@ type metrics struct {
 	minePanics       atomic.Int64 // mines that panicked (recovered, snapshot kept)
 	mineTimeouts     atomic.Int64 // mines abandoned by the watchdog
 
-	mineIncremental  atomic.Int64 // mines served by the maintained FP-tree
-	mineFullRebuilds atomic.Int64 // mines that (re)built the tree from the window
+	mineIncremental  atomic.Int64 // mines served by the maintained FP-tree as it stood
+	mineFullRebuilds atomic.Int64 // mines whose capture hit the tree's rank-drift/fragmentation rebuild
 	degraded         atomic.Int32 // current failure mode: 0 healthy, see degradeReasonString
 
 	checkpoints         atomic.Int64 // state files written

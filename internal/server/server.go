@@ -83,12 +83,6 @@ type Config struct {
 	// and rule-generation shards). Zero means GOMAXPROCS; 1 forces serial
 	// mining. Snapshots are identical for any worker count.
 	Workers int
-	// Incremental maintains the FP-tree across mines (weighted inserts for
-	// arrivals, weighted decrements along evicted paths) so steady-state
-	// mine cost tracks the ingest delta instead of the window size. Rules
-	// are identical either way; /metrics counts how often the rank-drift /
-	// fragmentation fallback forces a full rebuild.
-	Incremental bool
 	// StateDir, when set, makes the server durable: the mining loop
 	// checkpoints its full state (fitted discretizers, tier and prevalence
 	// counts, item catalog, window ring, snapshot seq) to an atomically
@@ -417,12 +411,11 @@ func (s *Server) openWALAndReplay(miner *stream.Miner, enc *encoder) error {
 
 func (s *Server) streamConfig() stream.Config {
 	return stream.Config{
-		WindowSize:  s.cfg.WindowSize,
-		MinSupport:  s.cfg.MinSupport,
-		MaxLen:      s.cfg.MaxLen,
-		MinLift:     s.cfg.MinLift,
-		Workers:     s.cfg.Workers,
-		Incremental: s.cfg.Incremental,
+		WindowSize: s.cfg.WindowSize,
+		MinSupport: s.cfg.MinSupport,
+		MaxLen:     s.cfg.MaxLen,
+		MinLift:    s.cfg.MinLift,
+		Workers:    s.cfg.Workers,
 	}
 }
 
@@ -681,12 +674,12 @@ type mineOutcome struct {
 func (s *Server) mine(miner *stream.Miner) {
 	start := s.clock.Now()
 	pv := miner.BeginView()
-	if pv.Incremental() && !pv.Rebuilt() {
-		s.metrics.mineIncremental.Add(1)
-	} else {
-		// Either the miner runs in full-rebuild mode, or the incremental
-		// tree's rank-drift / fragmentation fallback fired at capture.
+	if pv.Rebuilt() {
+		// The maintained tree's rank-drift / fragmentation fallback fired
+		// at capture.
 		s.metrics.mineFullRebuilds.Add(1)
+	} else {
+		s.metrics.mineIncremental.Add(1)
 	}
 	outcome := make(chan mineOutcome, 1)
 	go func() {

@@ -336,7 +336,7 @@ func (c *Cluster) writePrometheus(w http.ResponseWriter) {
 	for i := range gauges {
 		fmt.Fprintf(&b, "armine_shard_mine_incremental_total{shard=\"%d\"} %d\n", i, gauges[i].incremental)
 	}
-	fmt.Fprintf(&b, "# HELP armine_shard_mine_full_rebuild_total Mines that rebuilt the FP-tree from the window (always, or via the incremental mode's drift/fragmentation fallback).\n")
+	fmt.Fprintf(&b, "# HELP armine_shard_mine_full_rebuild_total Mines whose capture rebuilt the maintained FP-tree (rank-drift or fragmentation fallback).\n")
 	fmt.Fprintf(&b, "# TYPE armine_shard_mine_full_rebuild_total counter\n")
 	for i := range gauges {
 		fmt.Fprintf(&b, "armine_shard_mine_full_rebuild_total{shard=\"%d\"} %d\n", i, gauges[i].rebuilds)

@@ -16,7 +16,6 @@ import (
 	"repro/internal/fpgrowth"
 	"repro/internal/itemset"
 	"repro/internal/rules"
-	"repro/internal/transaction"
 )
 
 // Config sizes the window and fixes the mining thresholds.
@@ -29,20 +28,10 @@ type Config struct {
 	MaxLen int
 	// MinLift filters generated rules; zero means 1.5.
 	MinLift float64
-	// Workers sets the mining parallelism, forwarded to fpgrowth.Mine and
+	// Workers sets the mining parallelism, forwarded to the FP-tree mine and
 	// rules.Generate. Zero means GOMAXPROCS; 1 forces serial mining. The
 	// mined rules are identical for any worker count.
 	Workers int
-	// Incremental maintains a persistent FP-tree across mines: Observe
-	// applies a weighted insert for the arriving transaction and a weighted
-	// decrement along the evicted one's path, so steady-state mine cost is
-	// proportional to the delta since the last mine rather than the window.
-	// Mined rules are identical either way; this is purely a latency mode.
-	Incremental bool
-	// IncOptions tunes the incremental tree's rebuild fallbacks (rank-drift
-	// threshold, dead-node fraction). Zero values pick the fpgrowth
-	// defaults. Ignored unless Incremental is set.
-	IncOptions fpgrowth.IncOptions
 }
 
 // Miner is a sliding-window association rule miner. It is not safe for
@@ -52,12 +41,14 @@ type Config struct {
 type Miner struct {
 	cfg     Config
 	catalog *itemset.Catalog
-	ring    [][]itemset.Item
+	ring    []itemset.Set
 	next    int
 	filled  bool
 	total   int
-	// inc is the persistent FP-tree mirror of the ring, maintained
-	// per-Observe when cfg.Incremental is set; nil otherwise.
+	// inc is the persistent FP-tree mirror of the ring: Observe applies a
+	// weighted insert for the arriving transaction and a weighted decrement
+	// along the evicted one's path, so a mine costs the delta since the
+	// last one rather than a tree build over the whole window.
 	inc *fpgrowth.Incremental
 }
 
@@ -78,34 +69,28 @@ func New(catalog *itemset.Catalog, cfg Config) (*Miner, error) {
 	if catalog == nil {
 		catalog = itemset.NewCatalog()
 	}
-	m := &Miner{
+	return &Miner{
 		cfg:     cfg,
 		catalog: catalog,
-		ring:    make([][]itemset.Item, cfg.WindowSize),
-	}
-	if cfg.Incremental {
-		m.inc = fpgrowth.NewIncremental(cfg.IncOptions)
-	}
-	return m, nil
+		ring:    make([]itemset.Set, cfg.WindowSize),
+		inc:     fpgrowth.NewIncremental(fpgrowth.IncOptions{}),
+	}, nil
 }
 
 // Catalog returns the item catalog backing the miner.
 func (m *Miner) Catalog() *itemset.Catalog { return m.catalog }
 
 // Observe appends one transaction, evicting the oldest when the window is
-// full. In incremental mode the persistent tree absorbs the same delta:
-// one weighted decrement for the eviction, one weighted insert for the
-// arrival.
+// full. The maintained tree absorbs the same delta: one weighted decrement
+// for the eviction, one weighted insert for the arrival.
 func (m *Miner) Observe(items ...itemset.Item) {
 	txn := itemset.NewSet(items...)
 	var evictErr error
-	if m.inc != nil {
-		if m.filled {
-			evictErr = m.inc.Remove(m.ring[m.next])
-		}
-		if evictErr == nil {
-			m.inc.Add(txn)
-		}
+	if m.filled {
+		evictErr = m.inc.Remove(m.ring[m.next])
+	}
+	if evictErr == nil {
+		m.inc.Add(txn)
 	}
 	m.ring[m.next] = txn
 	m.next++
@@ -117,21 +102,16 @@ func (m *Miner) Observe(items ...itemset.Item) {
 	if evictErr != nil {
 		// The tree disagreed with the ring about the evicted path. That is
 		// an invariant break that must never poison mining, so resync the
-		// tree from the ring — the incremental worst case is by design the
-		// non-incremental steady state.
+		// tree from the ring — a full rebuild, no worse than the fallback
+		// Maintain takes on rank drift.
 		m.resetInc()
 	}
 }
 
 // resetInc rebuilds the persistent tree from the ring contents.
 func (m *Miner) resetInc() {
-	m.inc = fpgrowth.NewIncremental(m.cfg.IncOptions)
-	if m.filled {
-		for _, txn := range m.ring[m.next:] {
-			m.inc.Add(txn)
-		}
-	}
-	for _, txn := range m.ring[:m.next] {
+	m.inc = fpgrowth.NewIncremental(fpgrowth.IncOptions{})
+	for _, txn := range m.window() {
 		m.inc.Add(txn)
 	}
 }
@@ -153,22 +133,22 @@ func (m *Miner) Len() int {
 	return m.next
 }
 
+// window copies the ring out oldest-first. The sets alias the ring slots,
+// which Observe replaces rather than mutates.
+func (m *Miner) window() []itemset.Set {
+	out := make([]itemset.Set, 0, m.Len())
+	if m.filled {
+		out = append(out, m.ring[m.next:]...)
+	}
+	return append(out, m.ring[:m.next]...)
+}
+
 // Export returns the window's transactions oldest-first plus the total
 // observed count — the miner's half of a serving checkpoint. The returned
 // sets alias the ring (Observe replaces slots rather than mutating them), so
 // treat them as read-only and serialize before the next Observe.
 func (m *Miner) Export() ([]itemset.Set, int) {
-	n := m.Len()
-	out := make([]itemset.Set, 0, n)
-	if m.filled {
-		for _, txn := range m.ring[m.next:] {
-			out = append(out, txn)
-		}
-	}
-	for _, txn := range m.ring[:m.next] {
-		out = append(out, txn)
-	}
-	return out, m.total
+	return m.window(), m.total
 }
 
 // RestoreWindow refills an empty miner from an Export: txns oldest-first
@@ -182,21 +162,15 @@ func (m *Miner) RestoreWindow(txns []itemset.Set, total int) error {
 	if total < len(txns) {
 		return fmt.Errorf("stream: restored total %d below window occupancy %d", total, len(txns))
 	}
-	for i, t := range txns {
-		m.ring[i] = t
-	}
-	for i := len(txns); i < len(m.ring); i++ {
-		m.ring[i] = nil
-	}
+	copy(m.ring, txns)
+	clear(m.ring[len(txns):])
 	m.next = len(txns) % len(m.ring)
 	m.filled = len(txns) == len(m.ring)
 	m.total = total
-	if m.inc != nil {
-		// Checkpoints persist only the window; the tree is derived state,
-		// rebuilt here so restored miners mine incrementally from the first
-		// post-restore tick.
-		m.resetInc()
-	}
+	// Checkpoints persist only the window; the tree is derived state,
+	// rebuilt here so a restored miner mines off it from the first
+	// post-restore tick.
+	m.resetInc()
 	return nil
 }
 
@@ -206,42 +180,14 @@ func (m *Miner) Total() int { return m.total }
 // Snapshot mines the current window and returns the rules above the lift
 // threshold, strongest first.
 func (m *Miner) Snapshot() []rules.Rule {
-	if m.inc != nil {
-		m.inc.Maintain()
-		return mineFrozen(m.cfg, m.inc.Freeze(), m.Len())
-	}
-	// Ring slots are canonical sets that Observe replaces rather than
-	// mutates, so the window database can alias them.
-	return mineWindow(m.cfg, m.catalog, m.ring[:m.Len()])
+	m.inc.Maintain()
+	return mineFrozen(m.cfg, m.inc.Freeze(), m.Len())
 }
 
-// mineWindow runs the FP-Growth → rule-generation pipeline over one
-// captured window. Shared by the in-place Snapshot and the detachable
-// PendingView so both mine byte-identically.
-func mineWindow(cfg Config, catalog *itemset.Catalog, window [][]itemset.Item) []rules.Rule {
-	n := len(window)
-	if n == 0 {
-		return nil
-	}
-	db := transaction.NewDB(catalog)
-	for _, txn := range window {
-		db.AddCanonical(txn)
-	}
-	minCount := int(math.Ceil(cfg.MinSupport * float64(n)))
-	if minCount < 1 {
-		minCount = 1
-	}
-	frequent := fpgrowth.Mine(db, fpgrowth.Options{
-		MinCount: minCount,
-		MaxLen:   cfg.MaxLen,
-		Workers:  cfg.Workers,
-	})
-	return rules.Generate(frequent, n, rules.Options{MinLift: cfg.MinLift, Workers: cfg.Workers})
-}
-
-// mineFrozen is mineWindow against a maintained tree snapshot instead of a
-// freshly built one: same thresholds, same rule generation, no per-mine
-// O(window) tree construction.
+// mineFrozen runs the FP-Growth → rule-generation pipeline over a frozen
+// copy of the maintained tree holding n transactions. Shared by the
+// in-place Snapshot and the detachable PendingView so both mine
+// byte-identically.
 func mineFrozen(cfg Config, ft *fpgrowth.FrozenTree, n int) []rules.Rule {
 	if n == 0 {
 		return nil
@@ -286,21 +232,20 @@ func (m *Miner) View() *View {
 }
 
 // PendingView is a window captured for mining away from the miner's owner
-// goroutine. BeginView is cheap (slice-header copies plus a catalog
-// clone); Mine does the heavy work and touches nothing the miner mutates
-// afterwards — the ring slots it holds are canonical sets that Observe
-// replaces rather than edits, and the catalog is a private clone. This is
-// what lets the serving loop put a watchdog around mining: a hung or
-// panicking Mine strands only its PendingView, never the miner, so the
-// loop keeps observing and simply begins a fresh view for the next batch.
+// goroutine. BeginView maintains the tree and takes the copies; Mine does
+// the heavy work and touches nothing the miner mutates afterwards — the
+// window holds canonical sets that Observe replaces rather than edits, the
+// tree is a frozen copy and the catalog a private clone. This is what
+// lets the serving loop put a watchdog around mining: a hung or panicking
+// Mine strands only its PendingView, never the miner, so the loop keeps
+// observing and simply begins a fresh view for the next batch.
 type PendingView struct {
 	cfg     Config
 	catalog *itemset.Catalog
-	window  [][]itemset.Item
+	window  []itemset.Set
 	total   int
-	// frozen is a deep copy of the maintained tree taken at capture time
-	// (incremental mode only): the detached mine reads it instead of
-	// rebuilding from the window, and an abandoned mine strands only the
+	// frozen is a deep copy of the maintained tree taken at capture time:
+	// the detached mine reads it, and an abandoned mine strands only the
 	// copy, never the miner's live tree.
 	frozen *fpgrowth.FrozenTree
 	// rebuilt records whether Maintain fell back to a full rebuild at this
@@ -312,59 +257,36 @@ type PendingView struct {
 // BeginView captures the current window. Must be called from the miner's
 // owner goroutine, like every other Miner method.
 func (m *Miner) BeginView() *PendingView {
-	n := m.Len()
-	// Capture oldest-first (mining is order-blind, but View.Window promises
-	// the same order Export uses, so checkpoints and merge stages agree).
-	window := make([][]itemset.Item, 0, n)
-	if m.filled {
-		window = append(window, m.ring[m.next:]...)
-	}
-	window = append(window, m.ring[:m.next]...)
-	pv := &PendingView{
+	// Maintenance (drift check, possible rebuild) runs here in the owner
+	// goroutine; the detached mine only ever reads its frozen copy.
+	rebuilt := m.inc.Maintain()
+	return &PendingView{
 		cfg:     m.cfg,
 		catalog: m.catalog.Clone(),
-		window:  window,
+		// Oldest-first like Export, so checkpoints and merge stages agree
+		// on View.Window.
+		window:  m.window(),
 		total:   m.total,
+		frozen:  m.inc.Freeze(),
+		rebuilt: rebuilt,
 	}
-	if m.inc != nil {
-		// Maintenance (drift check, possible rebuild) runs here in the
-		// owner goroutine; the detached mine only ever reads its frozen
-		// copy.
-		pv.rebuilt = m.inc.Maintain()
-		pv.frozen = m.inc.Freeze()
-	}
-	return pv
 }
 
-// Incremental reports whether this capture mines a maintained tree rather
-// than rebuilding one from the window.
-func (pv *PendingView) Incremental() bool { return pv.frozen != nil }
-
 // Rebuilt reports whether capturing this view forced a full tree rebuild
-// (rank-drift or fragmentation fallback). Always false outside incremental
-// mode.
+// (rank-drift or fragmentation fallback) instead of mining the maintained
+// tree as it stood.
 func (pv *PendingView) Rebuilt() bool { return pv.rebuilt }
 
 // Mine runs the capture to completion. Safe to call on any goroutine; the
 // result is identical to what Miner.View would have returned at capture
 // time.
 func (pv *PendingView) Mine() *View {
-	window := make([]itemset.Set, len(pv.window))
-	for i, txn := range pv.window {
-		window[i] = itemset.Set(txn)
-	}
-	var rs []rules.Rule
-	if pv.frozen != nil {
-		rs = mineFrozen(pv.cfg, pv.frozen, len(pv.window))
-	} else {
-		rs = mineWindow(pv.cfg, pv.catalog, pv.window)
-	}
 	return &View{
-		Rules:     rs,
+		Rules:     mineFrozen(pv.cfg, pv.frozen, len(pv.window)),
 		Catalog:   pv.catalog,
 		WindowLen: len(pv.window),
 		Total:     pv.total,
-		Window:    window,
+		Window:    pv.window,
 	}
 }
 

@@ -1,12 +1,15 @@
 package stream
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
+	"repro/internal/fpgrowth"
 	"repro/internal/itemset"
 	"repro/internal/rules"
 	"repro/internal/stats"
+	"repro/internal/transaction"
 )
 
 func TestConfigValidation(t *testing.T) {
@@ -422,20 +425,35 @@ func TestViewCarriesWindow(t *testing.T) {
 	}
 }
 
-// TestIncrementalSnapshotEquivalence interleaves observe/evict/mine over an
-// incremental miner and a plain one fed the identical stream: every
-// snapshot, and every published View, must be rule-for-rule identical. The
-// schedule wraps the ring several times so eviction decrements, drift
-// maintenance and (possibly) rebuild fallbacks all run mid-stream.
+// oracleRules mines m's exported window from scratch with the static
+// FP-Growth miner and the same thresholds: the reference the maintained
+// tree must reproduce rule for rule.
+func oracleRules(m *Miner) []rules.Rule {
+	window, _ := m.Export()
+	n := len(window)
+	if n == 0 {
+		return nil
+	}
+	db := transaction.NewDB(m.Catalog())
+	for _, txn := range window {
+		db.AddCanonical(txn)
+	}
+	minCount := int(math.Ceil(m.cfg.MinSupport * float64(n)))
+	if minCount < 1 {
+		minCount = 1
+	}
+	frequent := fpgrowth.Mine(db, fpgrowth.Options{MinCount: minCount, MaxLen: m.cfg.MaxLen, Workers: m.cfg.Workers})
+	return rules.Generate(frequent, n, rules.Options{MinLift: m.cfg.MinLift, Workers: m.cfg.Workers})
+}
+
+// TestIncrementalSnapshotEquivalence interleaves observe/evict/mine over a
+// miner and checks every snapshot, and every published View, rule for rule
+// against the static-miner oracle over the same window. The schedule wraps
+// the ring several times so eviction decrements, drift maintenance and
+// (possibly) rebuild fallbacks all run mid-stream.
 func TestIncrementalSnapshotEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
-		cfg := Config{WindowSize: 150, MinSupport: 0.04, MinLift: 1.1, Workers: 1}
-		plain, err := New(nil, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Incremental = true
-		incr, err := New(nil, cfg)
+		m, err := New(nil, Config{WindowSize: 150, MinSupport: 0.04, MinLift: 1.1, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -451,33 +469,33 @@ func TestIncrementalSnapshotEquivalence(t *testing.T) {
 			if len(txn) > 0 && txn[0] == "a" && g.Bernoulli(0.8) {
 				txn = append(txn, "b")
 			}
-			plain.ObserveNames(txn...)
-			incr.ObserveNames(txn...)
+			m.ObserveNames(txn...)
 			if g.Intn(40) != 0 && i != 599 {
 				continue
 			}
-			want, got := plain.Snapshot(), incr.Snapshot()
+			want, got := oracleRules(m), m.Snapshot()
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("seed %d step %d: incremental snapshot %d rules, plain %d",
+				t.Fatalf("seed %d step %d: snapshot %d rules, oracle %d",
 					seed, i, len(got), len(want))
 			}
-			wantView, gotView := plain.View(), incr.View()
-			if !reflect.DeepEqual(wantView.Rules, gotView.Rules) {
-				t.Fatalf("seed %d step %d: incremental view diverged", seed, i)
+			view := m.View()
+			if !reflect.DeepEqual(want, view.Rules) {
+				t.Fatalf("seed %d step %d: view diverged from the oracle", seed, i)
 			}
-			if gotView.WindowLen != wantView.WindowLen || gotView.Total != wantView.Total {
-				t.Fatalf("seed %d step %d: view occupancy diverged", seed, i)
+			if view.WindowLen != m.Len() || view.Total != i+1 {
+				t.Fatalf("seed %d step %d: view occupancy %d/%d, want %d/%d",
+					seed, i, view.WindowLen, view.Total, m.Len(), i+1)
 			}
 		}
 	}
 }
 
-// TestIncrementalRestoreWindow: a restored incremental miner rebuilds its
-// tree from the imported window and keeps mining incrementally — snapshots
-// match a plain miner fed the same history, before and after post-restore
-// observations.
+// TestIncrementalRestoreWindow: a restored miner rebuilds its tree from the
+// imported window and keeps mining off it — snapshots match the miner the
+// export came from and the static-miner oracle, before and after
+// post-restore observations.
 func TestIncrementalRestoreWindow(t *testing.T) {
-	cfg := Config{WindowSize: 20, MinSupport: 0.2, Incremental: true}
+	cfg := Config{WindowSize: 20, MinSupport: 0.2}
 	src, err := New(nil, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -494,16 +512,23 @@ func TestIncrementalRestoreWindow(t *testing.T) {
 	if err := dst.RestoreWindow(txns, total); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(src.Snapshot(), dst.Snapshot()) {
-		t.Fatal("restored incremental miner mines different rules")
+	got := dst.Snapshot()
+	if !reflect.DeepEqual(src.Snapshot(), got) || !reflect.DeepEqual(oracleRules(dst), got) {
+		t.Fatal("restored miner mines different rules")
 	}
 	// Keep streaming on both: the restored tree must absorb evictions of
 	// restored transactions it never saw via Observe.
+	mined := 0
 	for i := 0; i < 30; i++ {
 		src.ObserveNames("y", "z")
 		dst.ObserveNames("y", "z")
-		if !reflect.DeepEqual(src.Snapshot(), dst.Snapshot()) {
+		got := dst.Snapshot()
+		if !reflect.DeepEqual(src.Snapshot(), got) || !reflect.DeepEqual(oracleRules(dst), got) {
 			t.Fatalf("step %d: post-restore snapshots diverged", i)
 		}
+		mined += len(got)
+	}
+	if mined == 0 {
+		t.Fatal("no post-restore snapshot mined a rule; the comparison is vacuous")
 	}
 }

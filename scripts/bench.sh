@@ -75,7 +75,8 @@ if want mining; then
 # thresholds and worker counts (20k-transaction class databases).
 run ./internal/fpgrowth 'BenchmarkBuildInitial|BenchmarkMineByDensity|BenchmarkMineByThreshold|BenchmarkMineParallelism'
 # Windowed-delta serving pattern: 20k window advancing 200 txns per tick,
-# full tree rebuild per mine vs the maintained incremental tree.
+# the maintained tree the stream miner uses vs full-rebuild, the static
+# FP-Growth reference.
 run ./internal/fpgrowth 'BenchmarkIncrementalMine'
 # Rule generation over the mined lattice.
 run ./internal/rules 'BenchmarkGenerate'
