@@ -250,8 +250,10 @@ func (ix *RuleIndex) CacheStats() (hits, misses int64) {
 }
 
 // Resolve maps a query keyword to a catalog item: exact name first, then
-// unique substring, exactly like the linear resolveKeyword — but against
-// the prebuilt blob index, with per-keyword memoization.
+// unique substring so ?keyword=failed finds status=failed, with ambiguity
+// an error listing the candidates. It searches the prebuilt blob index,
+// with per-keyword memoization; the catalog-scanning oracle it must match
+// lives with the equivalence tests (internal/server/equivalence_test.go).
 func (ix *RuleIndex) Resolve(keyword string) (itemset.Item, string, error) {
 	return ix.resolver.resolve(keyword)
 }

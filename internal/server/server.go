@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/rules"
 	"repro/internal/stream"
 	"repro/internal/wal"
 )
@@ -195,6 +196,30 @@ type Snapshot struct {
 	// replaced it panicked or timed out, so this data is older than the
 	// window it claims to describe.
 	Stale bool
+}
+
+// NextSnapshot derives the snapshot that succeeds prev for a freshly mined
+// view: seq continues from prev (firstSeq numbers the first snapshot, when
+// prev is nil), the drift delta is diffed against prev's rules, and the
+// read-path index is built. The server's publish and the shard cluster's
+// merge both go through it, so the two number, diff and index alike.
+func NextSnapshot(prev *Snapshot, firstSeq int64, view *stream.View, minedAt time.Time, took time.Duration, stale bool) *Snapshot {
+	seq, prevSeq := firstSeq, int64(0)
+	var prevRules []rules.Rule
+	if prev != nil {
+		seq, prevSeq = prev.Seq+1, prev.Seq
+		prevRules = prev.View.Rules
+	}
+	return &Snapshot{
+		Seq:          seq,
+		PrevSeq:      prevSeq,
+		MinedAt:      minedAt,
+		MineDuration: took,
+		View:         view,
+		Index:        NewRuleIndex(view),
+		Delta:        stream.Diff(prevRules, view.Rules),
+		Stale:        stale,
+	}
 }
 
 // queued is one accepted event in flight to the mining loop, tagged with
@@ -732,32 +757,10 @@ func (s *Server) degrade(code int32) {
 // timed separately from the mine as last_publish_ms.
 func (s *Server) publish(view *stream.View, took time.Duration) {
 	start := s.clock.Now()
-	prev := s.snap.Load()
-	var delta stream.Delta
 	// The first mine is seq 1 on a cold start; after a restore it
 	// republishes the checkpointed window under its recorded seq, so
 	// numbering continues exactly where the previous instance stopped.
-	seq := int64(1)
-	prevSeq := int64(0)
-	if s.seqBase > 0 {
-		seq = s.seqBase
-	}
-	if prev != nil {
-		delta = stream.Diff(prev.View.Rules, view.Rules)
-		seq = prev.Seq + 1
-		prevSeq = prev.Seq
-	} else {
-		delta = stream.Diff(nil, view.Rules)
-	}
-	snap := &Snapshot{
-		Seq:          seq,
-		PrevSeq:      prevSeq,
-		MinedAt:      start,
-		MineDuration: took,
-		View:         view,
-		Index:        NewRuleIndex(view),
-		Delta:        delta,
-	}
+	snap := NextSnapshot(s.snap.Load(), max(s.seqBase, 1), view, start, took, false)
 	// A clean mine heals any degradation; clear it before the swap so a
 	// reader that sees the new snapshot never sees it reported degraded.
 	s.metrics.degraded.Store(degradedNone)

@@ -76,72 +76,86 @@ func genEvents(g *stats.RNG, n int) []server.Event {
 	return events
 }
 
-// The tentpole acceptance property: for any event stream and any shard
-// count, the cluster's SON-merged /v1/rules equals — rule for rule, metric
-// for metric — what one miner over the union window produces. Randomized
-// across 25 seeds and shard counts 1, 2 and 4.
+// The acceptance property: for any event stream, any shard count and any
+// threshold set, the cluster's merged /v1/rules equals — rule for rule,
+// metric for metric — what one miner over the union window produces.
+// Randomized across 25 seeds, shard counts 1, 2 and 4, and two threshold
+// sets: the defaults, and a non-default MaxLen and MinLift set on both the
+// oracle and the cluster.
 //
 // The serving config is categorical-only on purpose: per-shard encoders fit
 // numeric bins on per-shard bootstrap samples, so numeric specs make shard
-// encoding (correctly) diverge from a single miner's — the equivalence SON
-// guarantees is over transactions, not over encoder fitting.
+// encoding (correctly) diverge from a single miner's — the equivalence the
+// merge guarantees is over transactions, not over encoder fitting.
 func TestMergedEqualsSingleMinerOracle(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
+	thresholds := []struct {
+		name    string
+		maxLen  int
+		minLift float64
+	}{
+		{name: "defaults"},
+		{name: "maxlen2-lift1.2", maxLen: 2, minLift: 1.2},
+	}
 	const seeds = 25
-	for seed := 0; seed < seeds; seed++ {
-		g := stats.NewRNG(int64(1000 + seed))
-		events := genEvents(g, 80+g.Intn(80))
+	for _, th := range thresholds {
+		cfg := testShardConfig()
+		cfg.MaxLen, cfg.MinLift = th.maxLen, th.minLift
+		for seed := 0; seed < seeds; seed++ {
+			g := stats.NewRNG(int64(1000 + seed))
+			events := genEvents(g, 80+g.Intn(80))
 
-		oracle, err := server.New(testShardConfig())
-		if err != nil {
-			t.Fatalf("seed %d: oracle: %v", seed, err)
-		}
-		for _, ev := range events {
-			if err := oracle.Enqueue(ev); err != nil {
-				t.Fatalf("seed %d: oracle enqueue: %v", seed, err)
-			}
-		}
-		if err := oracle.Stop(ctx); err != nil {
-			t.Fatalf("seed %d: oracle stop: %v", seed, err)
-		}
-		osnap := oracle.Snapshot()
-		if osnap == nil {
-			t.Fatalf("seed %d: oracle mined nothing", seed)
-		}
-		want := canonicalize(osnap.View.Rules, osnap.View.Catalog)
-
-		for _, shards := range []int{1, 2, 4} {
-			c, err := New(Config{Shards: shards, Shard: testShardConfig()})
+			oracle, err := server.New(cfg)
 			if err != nil {
-				t.Fatalf("seed %d shards %d: New: %v", seed, shards, err)
+				t.Fatalf("%s seed %d: oracle: %v", th.name, seed, err)
 			}
 			for _, ev := range events {
-				if err := c.Ingest(ev); err != nil {
-					t.Fatalf("seed %d shards %d: ingest: %v", seed, shards, err)
+				if err := oracle.Enqueue(ev); err != nil {
+					t.Fatalf("%s seed %d: oracle enqueue: %v", th.name, seed, err)
 				}
 			}
-			if err := c.Stop(ctx); err != nil {
-				t.Fatalf("seed %d shards %d: stop: %v", seed, shards, err)
+			if err := oracle.Stop(ctx); err != nil {
+				t.Fatalf("%s seed %d: oracle stop: %v", th.name, seed, err)
 			}
-			snap, _ := c.Merged()
-			if snap == nil {
-				t.Fatalf("seed %d shards %d: merged nothing", seed, shards)
+			osnap := oracle.Snapshot()
+			if osnap == nil {
+				t.Fatalf("%s seed %d: oracle mined nothing", th.name, seed)
 			}
-			if snap.View.WindowLen != osnap.View.WindowLen {
-				t.Fatalf("seed %d shards %d: merged window %d, oracle %d",
-					seed, shards, snap.View.WindowLen, osnap.View.WindowLen)
-			}
-			got := canonicalize(snap.View.Rules, snap.View.Catalog)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d shards %d: %d merged rules, oracle has %d",
-					seed, shards, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d shards %d: rule %d diverges:\n merged %+v\n oracle %+v",
-						seed, shards, i, got[i], want[i])
+			want := canonicalize(osnap.View.Rules, osnap.View.Catalog)
+
+			for _, shards := range []int{1, 2, 4} {
+				c, err := New(Config{Shards: shards, Shard: cfg})
+				if err != nil {
+					t.Fatalf("%s seed %d shards %d: New: %v", th.name, seed, shards, err)
+				}
+				for _, ev := range events {
+					if err := c.Ingest(ev); err != nil {
+						t.Fatalf("%s seed %d shards %d: ingest: %v", th.name, seed, shards, err)
+					}
+				}
+				if err := c.Stop(ctx); err != nil {
+					t.Fatalf("%s seed %d shards %d: stop: %v", th.name, seed, shards, err)
+				}
+				snap, _ := c.Merged()
+				if snap == nil {
+					t.Fatalf("%s seed %d shards %d: merged nothing", th.name, seed, shards)
+				}
+				if snap.View.WindowLen != osnap.View.WindowLen {
+					t.Fatalf("%s seed %d shards %d: merged window %d, oracle %d",
+						th.name, seed, shards, snap.View.WindowLen, osnap.View.WindowLen)
+				}
+				got := canonicalize(snap.View.Rules, snap.View.Catalog)
+				if len(got) != len(want) {
+					t.Fatalf("%s seed %d shards %d: %d merged rules, oracle has %d",
+						th.name, seed, shards, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s seed %d shards %d: rule %d diverges:\n merged %+v\n oracle %+v",
+							th.name, seed, shards, i, got[i], want[i])
+					}
 				}
 			}
 		}

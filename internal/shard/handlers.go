@@ -106,9 +106,10 @@ func (c *Cluster) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleRules serves the merged view: the SON-exact union of every shard's
-// window. The ETag carries the shard seq/stale vector hash, so clients
-// revalidate 304 until any shard publishes a new snapshot.
+// handleRules serves the merged view: the stream miner's rules over the
+// union of every shard's window. The ETag carries the shard seq/stale
+// vector hash, so clients revalidate 304 until any shard publishes a new
+// snapshot.
 func (c *Cluster) handleRules(w http.ResponseWriter, r *http.Request) {
 	snap, etag := c.Merged()
 	server.WriteRules(w, r, snap, server.RulesParams{

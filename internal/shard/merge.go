@@ -1,17 +1,13 @@
-// The SON merge stage: reconciling N per-shard sliding windows into one
-// globally exact rule snapshot.
+// The merge stage: reconciling N per-shard sliding windows into one
+// global rule snapshot.
 //
 // Each shard publishes immutable snapshots whose View carries the captured
 // window (stream.View.Window). The merge translates every shard window into
 // one shared catalog (shards intern item names in different orders, so ids
-// must be reconciled by name) and runs son.MineShards over the per-shard
-// databases: pass 1 re-mines each shard's window at the proportionally
-// scaled global threshold to propose candidates, pass 2 counts every
-// candidate exactly against every shard. Re-mining from the raw windows —
-// rather than unioning the shards' published frequent itemsets — is what
-// makes the merge sound: a shard's own mining threshold ceil(s·n_i) can
-// exceed the SON bound floor(C·n_i/n), so published lists may be missing
-// candidates that are globally frequent.
+// must be reconciled by name), loads the union into a throwaway
+// stream.Miner and takes its View. The merged rules are therefore, by
+// construction, what one miner over the union window produces: the same
+// FP-tree mine, the same thresholds and defaults, the same rule generation.
 //
 // Merges are cached on the shard seq/stale vector: while no shard publishes
 // a new snapshot, every /v1/rules hit serves the cached merge (and its ETag
@@ -22,13 +18,10 @@ package shard
 import (
 	"fmt"
 	"hash/fnv"
-	"math"
 
-	"repro/internal/rules"
+	"repro/internal/itemset"
 	"repro/internal/server"
-	"repro/internal/son"
 	"repro/internal/stream"
-	"repro/internal/transaction"
 )
 
 // mergedSnap is one cached merge: the synthesized snapshot, the shard
@@ -95,8 +88,8 @@ func (c *Cluster) Merged() (*server.Snapshot, string) {
 // c.mergeCatalog and the previous merged snapshot are only touched here.
 func (c *Cluster) remerge(snaps []*server.Snapshot, key string) *mergedSnap {
 	start := c.clock.Now()
-	dbs := make([]*transaction.DB, 0, len(snaps))
-	totalLen, totalObserved := 0, 0
+	var union []itemset.Set
+	total := 0
 	stale := false
 	for _, snap := range snaps {
 		if snap == nil {
@@ -104,73 +97,50 @@ func (c *Cluster) remerge(snaps []*server.Snapshot, key string) *mergedSnap {
 		}
 		view := snap.View
 		stale = stale || snap.Stale
-		totalObserved += view.Total
-		db := transaction.NewDB(c.mergeCatalog)
+		total += view.Total
 		for _, txn := range view.Window {
 			// Reconcile by name: the same item carries different ids in
-			// different shard catalogs, and AddNames re-interns against the
-			// cluster-stable merge catalog.
-			db.AddNames(view.Catalog.Names(txn)...)
+			// different shard catalogs, so every item is re-interned
+			// against the cluster-stable merge catalog.
+			items := make([]itemset.Item, len(txn))
+			for i, it := range txn {
+				items[i] = c.mergeCatalog.Intern(view.Catalog.Name(it))
+			}
+			union = append(union, itemset.NewSet(items...))
 		}
-		totalLen += db.Len()
-		dbs = append(dbs, db)
 	}
 
-	minSupport, maxLen, minLift := c.cfg.Shard.MinSupport, c.cfg.Shard.MaxLen, c.cfg.Shard.MinLift
-	if minSupport == 0 {
-		minSupport = 0.05
-	}
-	if maxLen == 0 {
-		maxLen = 5
-	}
-	if minLift == 0 {
-		minLift = 1.5
-	}
-	minCount := int(math.Ceil(minSupport * float64(totalLen)))
-	if minCount < 1 {
-		minCount = 1
-	}
-	frequent := son.MineShards(dbs, son.Options{
-		MinCount: minCount,
-		MaxLen:   maxLen,
-		Workers:  c.cfg.Shard.Workers,
-	})
-	rs := rules.Generate(frequent, totalLen, rules.Options{MinLift: minLift, Workers: c.cfg.Shard.Workers})
-
-	// The published View renders against a frozen clone; ids are stable
+	// A throwaway miner sized to the union mines it exactly as each shard
+	// mines its own window: same thresholds, same defaults, same tree. The
+	// published View renders against a frozen catalog clone; ids are stable
 	// across clones, so consecutive merges diff structurally just like
-	// consecutive single-miner snapshots. Window stays nil: a merged view is
-	// synthesized, not a mining input.
-	view := &stream.View{
-		Rules:     rs,
-		Catalog:   c.mergeCatalog.Clone(),
-		WindowLen: totalLen,
-		Total:     totalObserved,
+	// consecutive single-miner snapshots.
+	miner, err := stream.New(c.mergeCatalog, stream.Config{
+		WindowSize: max(len(union), 1),
+		MinSupport: c.cfg.Shard.MinSupport,
+		MaxLen:     c.cfg.Shard.MaxLen,
+		MinLift:    c.cfg.Shard.MinLift,
+		Workers:    c.cfg.Shard.Workers,
+	})
+	if err == nil {
+		err = miner.RestoreWindow(union, total)
 	}
-	seq := int64(1)
-	prevSeq := int64(0)
-	var delta stream.Delta
-	if prev := c.merged.Load(); prev != nil {
-		seq = prev.snap.Seq + 1
-		prevSeq = prev.snap.Seq
-		delta = stream.Diff(prev.snap.View.Rules, rs)
-	} else {
-		delta = stream.Diff(nil, rs)
+	if err != nil {
+		// Unreachable: the window fits the union and every shard's total
+		// covers its own window.
+		panic(fmt.Sprintf("shard: merge miner: %v", err))
 	}
-	snap := &server.Snapshot{
-		Seq:          seq,
-		PrevSeq:      prevSeq,
-		MinedAt:      c.clock.Now(),
-		MineDuration: c.clock.Now().Sub(start),
-		View:         view,
-		// One index per merge-key: every request against this cached merge
-		// shares the posting lists, sort orders and analysis cache.
-		Index: server.NewRuleIndex(view),
-		Delta: delta,
-		Stale: stale,
+	var prev *server.Snapshot
+	if m := c.merged.Load(); m != nil {
+		prev = m.snap
 	}
+	view := miner.View()
+	minedAt := c.clock.Now()
+	// One index per merge-key: every request against this cached merge
+	// shares the posting lists, sort orders and analysis cache.
+	snap := server.NextSnapshot(prev, 1, view, minedAt, minedAt.Sub(start), stale)
 	c.mergedWatch.Publish(snap)
-	return &mergedSnap{snap: snap, key: key, etag: mergedETag(seq, key)}
+	return &mergedSnap{snap: snap, key: key, etag: mergedETag(snap.Seq, key)}
 }
 
 // mergedETag derives the merged view's cache validator: the merge seq plus

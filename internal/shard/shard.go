@@ -4,11 +4,10 @@
 // and (when configured) checkpoint/WAL directory — and routes every ingested
 // event to one shard by hashing a tenant key field. Tenants therefore get
 // isolated windows, isolated failure domains and per-tenant ingest quotas,
-// while the cluster still answers global queries: a merge stage reconciles
-// the per-shard windows into one rule snapshot using internal/son's two-pass
-// candidate-then-count protocol, so the merged /v1/rules is provably the
-// same rule set a single miner over the union window would have produced
-// (SON is exact, not approximate).
+// while the cluster still answers global queries: a merge stage loads the
+// union of the per-shard windows into one stream.Miner and mines it, so the
+// merged /v1/rules is, by construction, the rule set a single miner over
+// the union window produces.
 package shard
 
 import (
@@ -101,8 +100,9 @@ func (ts *tenantStats) allow(now time.Time, limit int, window time.Duration) boo
 }
 
 // Cluster is an N-shard serving deployment: a router in front of N
-// server.Server miners plus the SON merge stage behind /v1/rules. Create
-// with New, mount Handler, Stop to drain every shard.
+// server.Server miners plus the merge stage behind /v1/rules, which mines
+// the union of the shard windows with one stream.Miner. Create with New,
+// mount Handler, Stop to drain every shard.
 type Cluster struct {
 	cfg    Config
 	dec    *server.Decoder
@@ -116,10 +116,11 @@ type Cluster struct {
 	rejected        atomic.Int64 // events refused before routing (validation or tenant key)
 	quotaRejections atomic.Int64 // events refused by tenant quotas, all tenants
 
-	// merge guards the SON merge: merged caches the last merged snapshot
-	// keyed on the shard seq/stale vector, mergeMu single-flights a remerge,
-	// and mergeCatalog (touched only under mergeMu) interns item names with
-	// cluster-stable ids so consecutive merged snapshots diff meaningfully.
+	// merge guards the union-window merge: merged caches the last merged
+	// snapshot keyed on the shard seq/stale vector, mergeMu single-flights a
+	// remerge, and mergeCatalog (touched only under mergeMu) interns item
+	// names with cluster-stable ids so consecutive merged snapshots diff
+	// meaningfully.
 	mergeMu      sync.Mutex
 	merged       atomic.Pointer[mergedSnap]
 	mergeCatalog *itemset.Catalog

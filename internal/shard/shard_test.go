@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -367,6 +368,33 @@ func TestMetricsScrapeFormat(t *testing.T) {
 	for _, want := range wantLines {
 		if !strings.Contains(body, want) {
 			t.Errorf("scrape output missing %q\n%s", want, body)
+		}
+	}
+	// Every per-shard series must carry the value of the matching shard
+	// Metrics() key. The scrape writer reads that map through type
+	// assertions, which would silently render 0 if a value's type changed;
+	// the shards that took events have non-zero values, so a zero would
+	// show here.
+	series := map[string]string{
+		"armine_shard_snapshot_seq":            "snapshot_seq",
+		"armine_shard_ingest_accepted_total":   "ingest_accepted",
+		"armine_shard_mine_incremental_total":  "mine_incremental_total",
+		"armine_shard_mine_full_rebuild_total": "mine_full_rebuild_total",
+	}
+	for i := 0; i < c.Shards(); i++ {
+		m := c.Shard(i).Metrics()
+		for name, key := range series {
+			want := fmt.Sprintf(`%s{shard="%d"} %v`+"\n", name, i, m[key])
+			if !strings.Contains(body, want) {
+				t.Errorf("scrape output missing %q (from Metrics()[%q])", want, key)
+			}
+		}
+	}
+	for _, tenant := range []string{"acme", `we"ird`} {
+		m := c.Shard(c.ShardFor(tenant)).Metrics()
+		if m["snapshot_seq"] == int64(0) || m["ingest_accepted"] == int64(0) {
+			t.Errorf("shard of tenant %q has seq %v, accepted %v; want both non-zero",
+				tenant, m["snapshot_seq"], m["ingest_accepted"])
 		}
 	}
 

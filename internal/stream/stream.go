@@ -218,9 +218,9 @@ type View struct {
 	WindowLen, Total int
 	// Window is the captured window the rules were mined from, oldest
 	// first: canonical immutable sets resolved against Catalog. It is what
-	// lets a merge stage (internal/shard) re-count itemsets against the
-	// exact transactions behind each published snapshot. Synthesized views
-	// (e.g. a merged multi-shard view) may leave it nil.
+	// lets a merge stage (internal/shard) mine the union of the exact
+	// transactions behind several published snapshots. Hand-assembled
+	// views may leave it nil.
 	Window []itemset.Set
 }
 
